@@ -35,18 +35,15 @@ from .cones import (
 )
 from .decide import (
     REACHABLE,
-    UNREACHABLE,
     UNREACHABLE_WITHIN_CAP,
     Verdict,
     brute_force_oracle,
-    decide_bounded_witness,
     decide_capped_bfs,
     default_cap,
     witness_violation,
 )
 from .errors import (
     BudgetExceededError,
-    CapacityError,
     InternalDefectError,
     ParseError,
     PreconditionError,
@@ -62,7 +59,6 @@ from .schemes import (
     norm_bound,
     norm_bound_value,
     origin_exponents,
-    origin_word,
     shortest_zero_witness,
     slps_reach,
     split_lps,

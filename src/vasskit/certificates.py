@@ -3,7 +3,7 @@
 Three line formats exist:
 
     shortening: scheme=<file> original=<n1,..> reduced=<n1,..> delta=<x,y> source=<x,y>
-    verdict: kind=<k> cap=<n> length=<n> word=<x1,y1;x2,y2;...> states=<q0,q1,...>
+    verdict: kind=<k> cap=<n> bound=<n> length=<n> word=<x1,y1;x2,y2;...> states=<q0,q1,...>
     result: reachable=<bool> member=<i> exponents=<n1,..> maxnorm=<n>
 
 A certificate file holds one such line; verdict and result lines are
@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Configuration, PlaneVector, SchemePath, Word
+from .core import Configuration, PlaneVector, SchemePath, Word, instantiate, run
 from .decide import REACHABLE, UNREACHABLE_WITHIN_CAP, Verdict, decide_capped_bfs, witness_violation
 from .errors import ParseError
 from .instances import load_instance
@@ -95,6 +95,8 @@ def parse_shortening(line: str, lineno: Optional[int] = None) -> ShorteningCert:
 
 def serialize_verdict(v: Verdict) -> str:
     parts = [f"verdict: kind={v.kind}", f"cap={v.cap}"]
+    if v.bound is not None:
+        parts.append(f"bound={v.bound}")
     if v.length is not None:
         parts.append(f"length={v.length}")
     if v.witness is not None:
@@ -110,6 +112,7 @@ def parse_verdict(line: str, lineno: Optional[int] = None) -> Verdict:
         return Verdict(
             kind=fields["kind"],
             cap=int(fields["cap"]),
+            bound=int(fields["bound"]) if "bound" in fields else None,
             witness=_word(fields["word"]) if "word" in fields else None,
             states=tuple(fields["states"].split(",")) if "states" in fields else None,
             length=int(fields["length"]) if "length" in fields else None,
@@ -211,22 +214,20 @@ def _check_verdict(verdict: Verdict, instance_file: Optional[str], lineno: int) 
             return [f"line {lineno}: {reason}"]
         if verdict.length != len(verdict.witness or ()):
             return [f"line {lineno}: stated length does not match the witness"]
-        for point in (p for p in _points(verdict.witness, s)):
+        if verdict.bound is not None and verdict.length > verdict.bound:
+            return [f"line {lineno}: witness is longer than the stated bound"]
+        for point in run(verdict.witness or (), s).visited:
             if point.norm > verdict.cap:
                 return [f"line {lineno}: witness leaves the stated cap at {point}"]
         return []
     if verdict.kind == UNREACHABLE_WITHIN_CAP:
-        again = decide_capped_bfs(instance.vass, s, t, verdict.cap)
+        again = decide_capped_bfs(
+            instance.vass, s, t, verdict.cap, length_bound=verdict.bound
+        )
         if again.kind != UNREACHABLE_WITHIN_CAP:
             return [f"line {lineno}: target is reachable within the stated cap"]
         return []
     return [f"line {lineno}: unknown verdict kind {verdict.kind!r}"]
-
-
-def _points(word: Optional[Word], source: Configuration):
-    from .core import run
-
-    return run(word or (), source).visited
 
 
 def _check_result(result: WitnessResult, instance_file: Optional[str], lineno: int) -> list[str]:
@@ -240,8 +241,6 @@ def _check_result(result: WitnessResult, instance_file: Optional[str], lineno: i
     if fresh.reachable != result.reachable:
         return [f"line {lineno}: re-decision disagrees on reachability"]
     if result.reachable:
-        from .core import instantiate, run
-
         trace = run(instantiate(instance.scheme, result.exponents or ()), s)
         if not trace.admissible or trace.target != t.to_vector():
             return [f"line {lineno}: stated exponents are not a valid witness"]

@@ -16,7 +16,7 @@ import time
 from typing import Optional
 
 from . import certificates, decide, fuzzing, schemes, shortening
-from .core import Configuration, PlaneVector, run
+from .core import Configuration, PlaneVector, instantiate, run
 from .errors import BudgetExceededError, ParseError, PreconditionError, VasskitError
 from .instances import Instance, load_instance, serialize_instance
 
@@ -39,10 +39,14 @@ def _print_trace(word, source: Configuration, out) -> None:
         print(f"trace: {point}", file=out)
 
 
+def _relative_to_cert(path: str, cert: str) -> str:
+    """``path`` as a reference that resolves from the certificate file's directory."""
+    return os.path.relpath(os.path.abspath(path), os.path.dirname(os.path.abspath(cert)))
+
+
 def _write_certificate(path: str, instance_file: str, lines: list[str]) -> None:
-    rel = os.path.relpath(os.path.abspath(instance_file), os.path.dirname(os.path.abspath(path)))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"instance: {rel}\n")
+        fh.write(f"instance: {_relative_to_cert(instance_file, path)}\n")
         for line in lines:
             fh.write(line + "\n")
 
@@ -52,11 +56,15 @@ def _cmd_decide(args, out) -> int:
     if instance.kind != "vass" or instance.query is None:
         raise ParseError("decide needs an automaton file with a query line")
     s, t = instance.query
-    if args.length_bound is not None:
-        verdict = decide.decide_bounded_witness(instance.vass, s, t, args.length_bound)
-    else:
-        cap = args.cap if args.cap is not None else decide.default_cap(instance.vass, s, t)
-        verdict = decide.decide_capped_bfs(instance.vass, s, t, cap)
+    cap = args.cap
+    if cap is None and args.length_bound is not None:
+        # the largest norm a run of length_bound letters can reach
+        cap = max(s.norm + args.length_bound * instance.vass.norm, t.norm)
+    elif cap is None:
+        cap = decide.default_cap(instance.vass, s, t)
+    verdict = decide.decide_capped_bfs(
+        instance.vass, s, t, cap, length_bound=args.length_bound
+    )
     print(certificates.serialize_verdict(verdict), file=out)
     if args.trace and verdict.witness is not None:
         _print_trace(verdict.witness, s, out)
@@ -79,19 +87,14 @@ def _cmd_slps_decide(args, out) -> int:
     if not result.reachable:
         print("kind=Unreachable", file=out)
     if args.trace and result.exponents is not None:
-        from .core import instantiate
-
         _print_trace(instantiate(instance.scheme, result.exponents), s, out)
     if args.cert:
         _write_certificate(args.cert, args.file, [certificates.serialize_result(result)])
     return EXIT_OK if result.reachable else EXIT_NEGATIVE
 
 
-def _family_lines(family: shortening.ShorteningFamily, scheme_file: str) -> list[str]:
-    return [
-        certificates.serialize_shortening(family.members[n], scheme_file)
-        for n in sorted(family.members)
-    ]
+def _members(family: shortening.ShorteningFamily) -> list[shortening.Shortening]:
+    return [family.members[n] for n in sorted(family.members)]
 
 
 def _cmd_shorten(args, out) -> int:
@@ -100,54 +103,49 @@ def _cmd_shorten(args, out) -> int:
         raise ParseError("shorten needs a simple scheme file with path and query lines")
     scheme, exps = instance.scheme, instance.exponents
     source = instance.query[0]
-    rel = os.path.basename(args.file)
     k = args.cycle_cap if args.cycle_cap is not None else scheme.K
+    header: list[str] = []
     if args.op == "cut":
         if args.direction is None:
             raise ParseError("--direction is required for op cut")
         family = shortening.cut_by_vector(
             scheme, exps, source, args.count, _parse_vector(args.direction)
         )
-        lines = _family_lines(family, rel)
+        members = _members(family)
     elif args.op == "close-away":
         family = shortening.shorten_close_away(scheme, exps, source, args.corridor, k)
-        lines = _family_lines(family, rel)
+        members = _members(family)
     elif args.op == "away-both":
         family = shortening.shorten_away_both(scheme, exps, source, args.count, k)
-        lines = _family_lines(family, rel)
+        members = _members(family)
     elif args.op == "away-other":
         result = shortening.shorten_away_other(
             scheme, exps, source, args.corridor, args.count, k
         )
         if result.case == 1:
-            lines = [f"case: 1"] + _family_lines(result.family, rel)
+            header = ["case: 1"]
+            members = _members(result.family)
         else:
-            lines = [f"case: 2 vector={result.vector.x},{result.vector.y}"]
+            header = [f"case: 2 vector={result.vector.x},{result.vector.y}"]
+            members = []
     elif args.op == "one-visit":
         if args.split is None:
             raise ParseError("--split is required for op one-visit")
         family = shortening.shorten_one_visit(
             scheme, exps, source, args.split, args.corridor, args.count, k
         )
-        lines = _family_lines(family, rel)
+        members = _members(family)
     else:  # far
-        member = shortening.shorten_far(scheme, exps, source, k)
-        lines = [certificates.serialize_shortening(member, rel)]
-    for line in lines:
+        members = [shortening.shorten_far(scheme, exps, source, k)]
+    rel = os.path.basename(args.file)
+    for line in header + [certificates.serialize_shortening(m, rel) for m in members]:
         print(line, file=out)
     if args.cert:
-        # the scheme reference resolves relative to the certificate file
-        cert_rel = os.path.relpath(
-            os.path.abspath(args.file), os.path.dirname(os.path.abspath(args.cert))
-        )
+        cert_rel = _relative_to_cert(args.file, args.cert)
         _write_certificate(
             args.cert,
             args.file,
-            [
-                ln.replace(f"scheme={rel}", f"scheme={cert_rel}")
-                for ln in lines
-                if ln.startswith("shortening:")
-            ],
+            [certificates.serialize_shortening(m, cert_rel) for m in members],
         )
     return EXIT_OK
 
@@ -212,8 +210,6 @@ def _report_thm10_margin(args, out) -> None:
         witness = schemes.shortest_zero_witness(scheme, budget=500_000)
         if witness is None:
             continue
-        from .core import instantiate
-
         trace = run(instantiate(scheme, witness), Configuration(0, 0))
         observed = max(observed, max(p.norm for p in trace.visited))
         bound = max(bound, schemes.norm_bound(scheme))

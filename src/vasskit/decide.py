@@ -1,16 +1,21 @@
 """Reachability decisions for planar vector addition systems with states.
 
-The capped breadth-first search explores (automaton state, configuration)
-pairs with both counters bounded by a cap.  A positive answer comes with
+One breadth-first search, ``decide_capped_bfs``, decides the general
+system.  It explores (automaton state, configuration) pairs with both
+counters bounded by a cap, level by level, each pair at most once; an
+optional length bound stops it from expanding past that depth, and a
+budget on expanded pairs ends every search.  A positive answer comes with
 a shortest in-cap witness; a negative answer is only ever "unreachable
-within this cap", because the cap for the general system is heuristic.
-Unconditional negative answers are reserved for the simple-scheme
-decider, whose cap is backed by an explicit bound.
+within this cap" (and bound), because the cap for the general system is
+heuristic.  Unconditional negative answers are reserved for the
+simple-scheme decider, whose cap is backed by an explicit bound.
+
+``brute_force_oracle`` is a separate, deliberately naive search that
+shares no code with the kernel, so that it can cross-check it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,13 +24,13 @@ from .errors import BudgetExceededError, PreconditionError
 
 REACHABLE = "Reachable"
 UNREACHABLE_WITHIN_CAP = "UnreachableWithinCap"
-UNREACHABLE = "Unreachable"
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """A decision with provenance: the cap used, the witness (word and
-    state trace) when reachable, and an explored-state statistic."""
+    """A decision with provenance: the cap and any length bound used, the
+    witness (word and state trace) when reachable, and an explored-state
+    statistic."""
 
     kind: str
     cap: int
@@ -33,6 +38,7 @@ class Verdict:
     states: Optional[tuple[str, ...]] = None
     explored: int = 0
     length: Optional[int] = None  # witness length; oracles report it without a word
+    bound: Optional[int] = None  # the length bound of a length-bounded search
 
     def __post_init__(self):
         if self.witness is not None and self.length is None:
@@ -88,97 +94,64 @@ def _reconstruct(parents, goal):
 
 
 def decide_capped_bfs(
-    vass: Vass, source: Configuration, target: Configuration, cap: int
+    vass: Vass,
+    source: Configuration,
+    target: Configuration,
+    cap: int,
+    *,
+    length_bound: Optional[int] = None,
+    budget: int = 2_000_000,
 ) -> Verdict:
-    """Breadth-first search over (state, x, y) with x, y <= cap.
+    """Breadth-first search over (state, x, y) with x, y <= cap, and with
+    words of at most length_bound letters when a bound is given.
 
     Returns a shortest in-cap witness when one exists, else
-    UnreachableWithinCap.
+    UnreachableWithinCap.  Raises BudgetExceededError once more than
+    budget states have been expanded.
     """
     if cap < max(source.norm, target.norm):
         raise PreconditionError(
             f"cap {cap} below the endpoint norms {max(source.norm, target.norm)}"
         )
+    if length_bound is not None and length_bound < 0:
+        raise PreconditionError(f"length bound {length_bound} is negative")
     goal_xy = (target.x, target.y)
     parents: dict[tuple, Optional[tuple]] = {}
-    queue: deque[tuple] = deque()
+    frontier: list[tuple] = []
     for q in sorted(vass.initial):
         node = (q, source.x, source.y)
         if node not in parents:
             parents[node] = None
-            queue.append(node)
-    goal = None
+            frontier.append(node)
     explored = 0
-    while queue:
-        node = queue.popleft()
-        if node[0] in vass.accepting and (node[1], node[2]) == goal_xy:
-            goal = node
-            break
-        explored += 1
-        q, x, y = node
-        for letter, nxt_state in vass.edges_from(q):
-            nx, ny = x + letter.x, y + letter.y
-            if nx < 0 or ny < 0 or nx > cap or ny > cap:
-                continue
-            nxt = (nxt_state, nx, ny)
-            if nxt not in parents:
-                parents[nxt] = (node, letter)
-                queue.append(nxt)
-    if goal is None:
-        return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=explored)
-    word, states = _reconstruct(parents, goal)
-    return Verdict(kind=REACHABLE, cap=cap, witness=word, states=states, explored=explored)
-
-
-def decide_bounded_witness(
-    vass: Vass,
-    source: Configuration,
-    target: Configuration,
-    length_bound: int,
-    budget: int = 2_000_000,
-) -> Verdict:
-    """Search admissible accepted words of length at most length_bound.
-
-    Level-by-level frontier over (state, configuration); the counters are
-    unbounded but each level only holds points reachable within the
-    length bound.  Never returns an unconditional negative: the bound is
-    the caller's assertion, not a completeness guarantee.
-    """
-    parents: dict[tuple, Optional[tuple]] = {}
-    frontier: list[tuple] = []
-    explored = 0
-    for q in sorted(vass.initial):
-        node = (q, source.x, source.y, 0)
-        parents[node] = None
-        frontier.append(node)
-    goal = None
-    for depth in range(length_bound + 1):
-        for node in frontier:
-            if goal is None and node[0] in vass.accepting and node[1:3] == (target.x, target.y):
-                goal = node
-        if goal is not None or depth == length_bound:
-            break
+    depth = 0
+    while frontier:
+        last = depth == length_bound
         nxt_frontier = []
         for node in frontier:
+            if node[0] in vass.accepting and (node[1], node[2]) == goal_xy:
+                word, states = _reconstruct(parents, node)
+                return Verdict(
+                    kind=REACHABLE, cap=cap, witness=word, states=states,
+                    explored=explored, bound=length_bound,
+                )
+            if last:
+                continue
             explored += 1
             if explored > budget:
-                raise BudgetExceededError(f"bounded search exceeded its budget of {budget} states")
-            q, x, y, _ = node
+                raise BudgetExceededError(f"search exceeded its budget of {budget} states")
+            q, x, y = node
             for letter, nxt_state in vass.edges_from(q):
                 nx, ny = x + letter.x, y + letter.y
-                if nx < 0 or ny < 0:
+                if nx < 0 or ny < 0 or nx > cap or ny > cap:
                     continue
-                nxt = (nxt_state, nx, ny, depth + 1)
+                nxt = (nxt_state, nx, ny)
                 if nxt not in parents:
                     parents[nxt] = (node, letter)
                     nxt_frontier.append(nxt)
         frontier = nxt_frontier
-    if goal is None:
-        return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=length_bound, explored=explored)
-    word, states = _reconstruct(parents, goal)
-    return Verdict(
-        kind=REACHABLE, cap=length_bound, witness=word, states=states, explored=explored
-    )
+        depth += 1
+    return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=explored, bound=length_bound)
 
 
 def brute_force_oracle(

@@ -36,13 +36,5 @@ class BudgetExceededError(VasskitError):
     """
 
 
-class CapacityError(VasskitError):
-    """Exact arithmetic exceeded the implementation's representable range.
-
-    Python integers are unbounded, so this is raised only on conversion to
-    fixed-width external formats, never silently wrapped.
-    """
-
-
 class InternalDefectError(VasskitError):
     """A situation the construction guarantees impossible was reached; a bug."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Optional
 
@@ -56,7 +56,6 @@ class FuzzReport:
     iterations: int
     seed: int
     failures: tuple[FuzzFailure, ...]
-    stats: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------

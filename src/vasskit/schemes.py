@@ -170,10 +170,6 @@ def origin_exponents(member: SlpsMember, exponents: SchemePath, origin_cycles: i
     return tuple(reps)
 
 
-def origin_word(origin: Lps, reps: SchemePath) -> Word:
-    return instantiate(origin, reps)
-
-
 def norm_bound_value(cycles: int, norm: int) -> int:
     """Exact ceiling of 2914.5 * K * norm^15 (0 in the degenerate cases)."""
     if cycles == 0 or norm == 0:

@@ -48,8 +48,11 @@ def test_verdict_round_trip():
     line = serialize_verdict(verdict)
     again = parse_verdict(line.split(": ", 1)[1])
     assert again == verdict
-    negative = Verdict(kind="UnreachableWithinCap", cap=5)
-    assert parse_verdict(serialize_verdict(negative).split(": ", 1)[1]) == negative
+    for negative in (
+        Verdict(kind="UnreachableWithinCap", cap=5),
+        Verdict(kind="UnreachableWithinCap", cap=6, bound=0),
+    ):
+        assert parse_verdict(serialize_verdict(negative).split(": ", 1)[1]) == negative
 
 
 def test_result_round_trip():

@@ -51,6 +51,25 @@ def test_decide_length_bound(tmp_path, capsys):
     assert code == 0
 
 
+def test_decide_length_bound_certificates(tmp_path, capsys):
+    f = tmp_path / "step.vas"
+    f.write_text("vass\nstates a\ninit a\nfinal a\nedge a a 1 0\nquery 5 5 -> 6 5\n")
+    cert = tmp_path / "step.cert"
+    for bound, want_code, want_out, tampered in [
+        ("1", 0, "verdict: kind=Reachable cap=6 bound=1 length=1 word=1,0 states=a,a\n", "0"),
+        ("0", 1, "verdict: kind=UnreachableWithinCap cap=6 bound=0\n", "1"),
+    ]:
+        code, out = run_cli(["decide", str(f), "--length-bound", bound, "--cert", str(cert)], capsys)
+        assert (code, out) == (want_code, want_out)
+        assert run_cli(["verify", str(cert)], capsys) == (0, "verify: ok\n")
+        cert.write_text(cert.read_text().replace(f"bound={bound}", f"bound={tampered}"))
+        assert run_cli(["verify", str(cert)], capsys)[0] == 1
+    code, out = run_cli(["decide", str(f), "--length-bound", "1", "--cap", "5"], capsys)
+    assert (code, out) == (2, "")
+    code, out = run_cli(["decide", str(f), "--length-bound", "3", "--cap", "7"], capsys)
+    assert out.startswith("verdict: kind=Reachable cap=7 bound=3 length=1 ")
+
+
 def test_slps_decide(tmp_path, capsys):
     f = tmp_path / "up.vas"
     f.write_text("slps\nseg 0 0\ncyc 0 1\nseg 0 0\nquery 0 0 -> 0 3\n")

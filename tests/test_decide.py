@@ -1,5 +1,7 @@
 """Capped and length-bounded reachability decisions for automata."""
 
+from random import Random
+
 import pytest
 
 from vasskit import (
@@ -11,7 +13,6 @@ from vasskit import (
     UNREACHABLE_WITHIN_CAP,
     Vass,
     brute_force_oracle,
-    decide_bounded_witness,
     decide_capped_bfs,
     default_cap,
     witness_violation,
@@ -54,19 +55,64 @@ def test_cap_below_endpoints():
         decide_capped_bfs(LOOP, Configuration(2, 0), Configuration(0, 2), 1)
 
 
+GRID = Vass(
+    ("a",), (("a", V(1, 0), "a"), ("a", V(0, 1), "a")),
+    frozenset({"a"}), frozenset({"a"}),
+)
+WALK = Vass(
+    ("a",), tuple(("a", v, "a") for v in (V(1, 0), V(-1, 0), V(0, 1), V(0, -1))),
+    frozenset({"a"}), frozenset({"a"}),
+)
+
+
 def test_bounded_witness():
     s, t = Configuration(2, 0), Configuration(0, 2)
-    assert decide_bounded_witness(LOOP, s, t, 2).kind == REACHABLE
-    assert decide_bounded_witness(LOOP, s, t, 1).kind == UNREACHABLE_WITHIN_CAP
+    verdict = decide_capped_bfs(LOOP, s, t, 10, length_bound=2)
+    assert verdict.kind == REACHABLE and verdict.bound == 2
+    assert decide_capped_bfs(LOOP, s, t, 10, length_bound=1).kind == UNREACHABLE_WITHIN_CAP
 
 
 def test_bounded_witness_budget():
-    grid = Vass(
-        ("a",), (("a", V(1, 0), "a"), ("a", V(0, 1), "a")),
-        frozenset({"a"}), frozenset({"a"}),
-    )
     with pytest.raises(BudgetExceededError):
-        decide_bounded_witness(grid, Configuration(0, 0), Configuration(90, 90), 180, budget=50)
+        decide_capped_bfs(
+            GRID, Configuration(0, 0), Configuration(90, 90), 180, length_bound=180, budget=50
+        )
+
+
+def test_capped_budget():
+    with pytest.raises(BudgetExceededError):
+        decide_capped_bfs(GRID, Configuration(0, 0), Configuration(90, 90), 100, budget=50)
+
+
+def test_bounded_search_expands_each_point_once():
+    verdict = decide_capped_bfs(
+        WALK, Configuration(60, 60), Configuration(200, 200), 200, length_bound=120
+    )
+    assert verdict.kind == UNREACHABLE_WITHIN_CAP
+    assert verdict.explored < 25_000
+
+
+def test_bounded_search_matches_oracle():
+    rng = Random(2016)
+    letters = [V(x, y) for x in range(-1, 2) for y in range(-1, 2)]
+    for _ in range(200):
+        states = ("a", "b", "c")[: rng.randint(1, 3)]
+        edges = tuple(
+            (rng.choice(states), rng.choice(letters), rng.choice(states))
+            for _ in range(rng.randint(2, 6))
+        )
+        vass = Vass(states, edges, frozenset({states[0]}), frozenset({states[-1]}))
+        s = Configuration(rng.randint(0, 4), rng.randint(0, 4))
+        t = Configuration(rng.randint(0, 4), rng.randint(0, 4))
+        bound = rng.randint(0, 8)
+        cap = max(s.norm + bound * vass.norm, t.norm)
+        slow = brute_force_oracle(vass, s, t, cap)
+        verdict = decide_capped_bfs(vass, s, t, cap, length_bound=bound)
+        if slow.kind == REACHABLE and slow.length <= bound:
+            assert verdict.kind == REACHABLE and verdict.length == slow.length
+            assert witness_violation(vass, s, t, verdict.witness, verdict.states) is None
+        else:
+            assert verdict.kind == UNREACHABLE_WITHIN_CAP
 
 
 def test_default_cap_formula():

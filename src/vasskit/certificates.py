@@ -10,8 +10,9 @@ A certificate file holds one such line; verdict and result lines are
 preceded by an ``instance: <file>`` line naming the instance they answer,
 since those formats carry no file reference themselves.  Verification
 never trusts the producer: shortening invariants are re-run, witnesses
-are re-executed against the automaton, and negative verdicts are
-re-decided.
+are re-executed against the automaton, and "unreachable within cap"
+verdicts are re-decided by ``brute_force_oracle``, which shares no code
+with the search that produced them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Configuration, PlaneVector, SchemePath, Word, instantiate, run
-from .decide import REACHABLE, UNREACHABLE_WITHIN_CAP, Verdict, decide_capped_bfs, witness_violation
+from .decide import (
+    REACHABLE, UNREACHABLE_WITHIN_CAP, Verdict, brute_force_oracle, witness_violation,
+)
 from .errors import ParseError
 from .instances import load_instance
 from .schemes import WitnessResult, slps_reach
@@ -221,8 +224,8 @@ def _check_verdict(verdict: Verdict, instance_file: Optional[str], lineno: int) 
                 return [f"line {lineno}: witness leaves the stated cap at {point}"]
         return []
     if verdict.kind == UNREACHABLE_WITHIN_CAP:
-        again = decide_capped_bfs(
-            instance.vass, s, t, verdict.cap, length_bound=verdict.bound
+        again = brute_force_oracle(
+            instance.vass, s, t, verdict.cap, budget=2_000_000, length_bound=verdict.bound
         )
         if again.kind != UNREACHABLE_WITHIN_CAP:
             return [f"line {lineno}: target is reachable within the stated cap"]

@@ -206,7 +206,7 @@ def _report_thm10_margin(args, out) -> None:
     observed = 0
     bound = 0
     for _ in range(min(args.iters, 50)):
-        scheme = fuzzing._gen_thm10(rng)
+        scheme = fuzzing.TARGETS["thm10"].generate(rng)
         witness = schemes.shortest_zero_witness(scheme, budget=500_000)
         if witness is None:
             continue

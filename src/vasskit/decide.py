@@ -10,8 +10,23 @@ within this cap" (and bound), because the cap for the general system is
 heuristic.  Unconditional negative answers are reserved for the
 simple-scheme decider, whose cap is backed by an explicit bound.
 
+The kernel numbers the automaton's states 0..n-1 in declaration order
+and keys a node (state i, x, y) by the one int ``(x*(cap+1) + y)*n + i``.
+Each state's successor list, built once per call from ``Vass.edges_from``,
+stores per edge the key delta ``(dx*(cap+1) + dy)*n + j - i`` next to the
+letter and the edge's position in that list.  ``parents`` maps each
+discovered key to ``parent_key*maxdeg + position`` (None for a start node),
+where maxdeg is the largest out-degree; the witness is decoded from these
+codes.  ``parents`` is a dict, so memory follows the reachable region,
+never the cap.  The exploration order is fixed: initial states in sorted
+order, edges in declaration order, the first parent found wins, the goal
+test runs when a node is taken from the frontier and the budget test when
+it is expanded.  Hence ``explored``, the witness and its state trace do
+not depend on how nodes are represented.
+
 ``brute_force_oracle`` is a separate, deliberately naive search that
-shares no code with the kernel, so that it can cross-check it.
+shares no code with the kernel, so that it can cross-check it; verifying
+an "unreachable within cap" certificate runs it, not the kernel.
 """
 
 from __future__ import annotations
@@ -79,15 +94,18 @@ def witness_violation(
     return None
 
 
-def _reconstruct(parents, goal):
+def _rebuild(parents, key, names, out, maxdeg):
+    """The word and state trace of the search path ending at node ``key``,
+    decoded from its chain of parent codes."""
+    n = len(names)
     word: list[PlaneVector] = []
-    states: list[str] = [goal[0]]
-    node = goal
-    while parents[node] is not None:
-        prev, letter = parents[node]
-        word.append(letter)
-        states.append(prev[0])
-        node = prev
+    states = [names[key % n]]
+    code = parents[key]
+    while code is not None:
+        key, j = divmod(code, maxdeg)
+        word.append(out[key % n][j][0])
+        states.append(names[key % n])
+        code = parents[key]
     word.reverse()
     states.reverse()
     return tuple(word), tuple(states)
@@ -115,22 +133,33 @@ def decide_capped_bfs(
         )
     if length_bound is not None and length_bound < 0:
         raise PreconditionError(f"length bound {length_bound} is negative")
-    goal_xy = (target.x, target.y)
-    parents: dict[tuple, Optional[tuple]] = {}
-    frontier: list[tuple] = []
+    names = vass.states
+    n = len(names)
+    width = cap + 1
+    index = {q: i for i, q in enumerate(names)}
+    out = [vass.edges_from(q) for q in names]
+    succ = [
+        [((v.x * width + v.y) * n + index[r] - i, v.x, v.y, j) for j, (v, r) in enumerate(edges)]
+        for i, edges in enumerate(out)
+    ]
+    maxdeg = max(map(len, out), default=0)
+    goals = {(target.x * width + target.y) * n + index[q] for q in vass.accepting}
+    parents: dict[int, Optional[int]] = {}
+    frontier: list[int] = []
     for q in sorted(vass.initial):
-        node = (q, source.x, source.y)
-        if node not in parents:
-            parents[node] = None
-            frontier.append(node)
+        key = (source.x * width + source.y) * n + index[q]
+        if key not in parents:
+            parents[key] = None
+            frontier.append(key)
     explored = 0
     depth = 0
     while frontier:
         last = depth == length_bound
-        nxt_frontier = []
-        for node in frontier:
-            if node[0] in vass.accepting and (node[1], node[2]) == goal_xy:
-                word, states = _reconstruct(parents, node)
+        nxt_frontier: list[int] = []
+        push = nxt_frontier.append
+        for key in frontier:
+            if key in goals:
+                word, states = _rebuild(parents, key, names, out, maxdeg)
                 return Verdict(
                     kind=REACHABLE, cap=cap, witness=word, states=states,
                     explored=explored, bound=length_bound,
@@ -139,26 +168,32 @@ def decide_capped_bfs(
                 continue
             explored += 1
             if explored > budget:
-                raise BudgetExceededError(f"search exceeded its budget of {budget} states")
-            q, x, y = node
-            for letter, nxt_state in vass.edges_from(q):
-                nx, ny = x + letter.x, y + letter.y
-                if nx < 0 or ny < 0 or nx > cap or ny > cap:
-                    continue
-                nxt = (nxt_state, nx, ny)
-                if nxt not in parents:
-                    parents[nxt] = (node, letter)
-                    nxt_frontier.append(nxt)
+                largest = max(max(divmod(k // n, width)) for k in frontier)
+                raise BudgetExceededError(
+                    f"search exceeded its budget of {budget} states at depth {depth};"
+                    f" largest counter on the frontier: {largest}"
+                )
+            point, i = divmod(key, n)
+            x, y = divmod(point, width)
+            base = key * maxdeg
+            for delta, dx, dy, j in succ[i]:
+                if 0 <= x + dx <= cap and 0 <= y + dy <= cap:
+                    nxt = key + delta
+                    if nxt not in parents:
+                        parents[nxt] = base + j
+                        push(nxt)
         frontier = nxt_frontier
         depth += 1
     return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=explored, bound=length_bound)
 
 
 def brute_force_oracle(
-    vass: Vass, source: Configuration, target: Configuration, cap: int, budget: int = 200_000
+    vass: Vass, source: Configuration, target: Configuration, cap: int,
+    budget: int = 200_000, length_bound: Optional[int] = None,
 ) -> Verdict:
     """Independent oracle: naive level-set fixpoint over explicit word
     prefixes within the cap, no data structures shared with the decider.
+    With a length bound it stops after that many levels.
 
     Returns the same verdict kind, and for positive answers the length of
     a shortest in-cap witness (no witness word is produced).
@@ -170,7 +205,11 @@ def brute_force_oracle(
     goal = {(q, target.x, target.y) for q in vass.accepting}
     while level:
         if level & goal:
-            return Verdict(kind=REACHABLE, cap=cap, explored=explored, length=length)
+            return Verdict(
+                kind=REACHABLE, cap=cap, explored=explored, length=length, bound=length_bound
+            )
+        if length == length_bound:
+            break
         explored += len(level)
         if explored > budget:
             raise BudgetExceededError(f"oracle exceeded its budget of {budget} states")
@@ -185,4 +224,4 @@ def brute_force_oracle(
         seen |= nxt
         level = nxt
         length += 1
-    return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=explored)
+    return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=explored, bound=length_bound)

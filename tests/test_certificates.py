@@ -9,7 +9,9 @@ from vasskit import (
     Verdict,
     WitnessResult,
     ZERO,
+    certificates,
     cut_by_vector,
+    decide,
     slps_of,
 )
 from vasskit.certificates import (
@@ -95,6 +97,21 @@ def test_verify_verdict_certificate(tmp_path):
         "verdict: kind=UnreachableWithinCap cap=10\n"
     )
     assert verify_certificate_file(str(cert)) != []  # target actually reachable
+
+
+def test_verify_negative_does_not_trust_the_kernel(tmp_path, monkeypatch):
+    def always_unreachable(vass, source, target, cap, **limits):
+        return Verdict(kind="UnreachableWithinCap", cap=cap, bound=limits.get("length_bound"))
+
+    monkeypatch.setattr(decide, "decide_capped_bfs", always_unreachable)
+    monkeypatch.setattr(certificates, "decide_capped_bfs", always_unreachable, raising=False)
+    (tmp_path / "loop.vas").write_text(
+        "vass\nstates a\ninit a\nfinal a\nedge a a -1 1\nquery 2 0 -> 0 2\n"
+    )
+    cert = tmp_path / "verdict.cert"
+    for limits, valid in (("cap=10", False), ("cap=10 bound=2", False), ("cap=10 bound=1", True)):
+        cert.write_text(f"instance: loop.vas\nverdict: kind=UnreachableWithinCap {limits}\n")
+        assert (verify_certificate_file(str(cert)) == []) == valid, limits
 
 
 def test_verify_result_certificate(tmp_path):

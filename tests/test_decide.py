@@ -115,6 +115,65 @@ def test_bounded_search_matches_oracle():
             assert verdict.kind == UNREACHABLE_WITHIN_CAP
 
 
+# two initial states, a parallel edge (p -> q by 1,0 and by 0,1) and
+# duplicate edges (p -> q by 1,0 and q -> r by 0,0, twice each)
+MULTI = Vass(
+    ("p", "q", "r"),
+    (
+        ("q", V(0, 1), "q"),
+        ("p", V(1, 0), "q"),
+        ("p", V(1, 0), "q"),
+        ("p", V(0, 1), "q"),
+        ("q", V(-1, 1), "p"),
+        ("q", V(0, 0), "r"),
+        ("p", V(1, 1), "r"),
+        ("q", V(0, 0), "r"),
+    ),
+    frozenset({"q", "p"}),
+    frozenset({"r"}),
+)
+
+
+def test_exploration_order_pinned():
+    s = Configuration(1, 0)
+    verdict = decide_capped_bfs(MULTI, s, Configuration(2, 4), 6)
+    assert verdict.witness == (V(1, 0), V(0, 1), V(0, 1), V(-1, 1), V(1, 1))
+    assert verdict.states == ("p", "q", "q", "q", "p", "r")
+    assert verdict.explored == 33
+    verdict = decide_capped_bfs(MULTI, s, Configuration(1, 5), 6)
+    assert verdict.witness == (V(0, 1), V(0, 1), V(0, 1), V(-1, 1), V(1, 1))
+    assert verdict.states == ("p", "q", "q", "q", "p", "r")
+    assert verdict.explored == 37
+    verdict = decide_capped_bfs(MULTI, s, Configuration(3, 3), 6)
+    assert verdict.kind == UNREACHABLE_WITHIN_CAP and verdict.explored == 51
+
+
+def test_huge_cap_tiny_region():
+    verdict = decide_capped_bfs(LOOP, Configuration(2, 0), Configuration(0, 3), 10**9)
+    assert verdict.kind == UNREACHABLE_WITHIN_CAP
+    assert verdict.explored < 100
+    verdict = decide_capped_bfs(LOOP, Configuration(10**9, 0), Configuration(10**9 - 2, 2), 10**9)
+    assert verdict.witness == (V(-1, 1), V(-1, 1)) and verdict.explored == 2
+
+
+def test_budget_message_diagnoses():
+    with pytest.raises(BudgetExceededError) as info:
+        decide_capped_bfs(GRID, Configuration(0, 0), Configuration(90, 90), 100, budget=50)
+    # levels 0..8 of the grid hold 45 points, so the 51st expansion is in level 9
+    assert str(info.value) == (
+        "search exceeded its budget of 50 states at depth 9;"
+        " largest counter on the frontier: 9"
+    )
+
+
+def test_oracle_length_bound():
+    s, t = Configuration(2, 0), Configuration(0, 2)
+    assert brute_force_oracle(LOOP, s, t, 10, length_bound=1).kind == UNREACHABLE_WITHIN_CAP
+    verdict = brute_force_oracle(LOOP, s, t, 10, length_bound=2)
+    assert verdict.kind == REACHABLE and verdict.length == 2 and verdict.bound == 2
+    assert brute_force_oracle(LOOP, s, s, 10, length_bound=0).kind == REACHABLE
+
+
 def test_default_cap_formula():
     assert default_cap(LOOP, Configuration(2, 0), Configuration(0, 2)) == 64 * 2 * 3**4
 

@@ -10,9 +10,11 @@ A certificate file holds one such line; verdict and result lines are
 preceded by an ``instance: <file>`` line naming the instance they answer,
 since those formats carry no file reference themselves.  Verification
 never trusts the producer: shortening invariants are re-run, witnesses
-are re-executed against the automaton, and "unreachable within cap"
-verdicts are re-decided by ``brute_force_oracle``, which shares no code
-with the search that produced them.
+are re-executed against the automaton, and negative answers are
+re-decided by ``brute_force_oracle``, which shares no code with the
+searches that produced them: "unreachable within cap" verdicts under the
+stated cap and bound, and simple-scheme "reachable=false" results on the
+scheme's path automaton under the cap of the simple-scheme bound.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Configuration, PlaneVector, SchemePath, Word, instantiate, run
+from .core import Configuration, PlaneVector, SchemePath, Slps, Vass, Word, instantiate, run
 from .decide import (
     REACHABLE, UNREACHABLE_WITHIN_CAP, Verdict, brute_force_oracle, witness_violation,
 )
 from .errors import ParseError
 from .instances import load_instance
-from .schemes import WitnessResult, slps_reach
+from .schemes import WitnessResult, norm_bound_value
 from .shortening import Shortening, shortening_violation
 
 
@@ -240,13 +242,26 @@ def _check_result(result: WitnessResult, instance_file: Optional[str], lineno: i
     if instance.kind != "slps" or instance.query is None:
         return [f"line {lineno}: result instance must be a simple scheme with a query"]
     s, t = instance.query
-    fresh = slps_reach(instance.scheme, s, t)
-    if fresh.reachable != result.reachable:
-        return [f"line {lineno}: re-decision disagrees on reachability"]
+    scheme = instance.scheme
     if result.reachable:
-        trace = run(instantiate(instance.scheme, result.exponents or ()), s)
+        trace = run(instantiate(scheme, result.exponents or ()), s)
         if not trace.admissible or trace.target != t.to_vector():
             return [f"line {lineno}: stated exponents are not a valid witness"]
         if result.max_visited_norm != max(p.norm for p in trace.visited):
             return [f"line {lineno}: stated maxnorm does not match the witness run"]
+        return []
+    cap = norm_bound_value(scheme.K + 2, max(scheme.norm, s.norm, t.norm))
+    again = brute_force_oracle(_path_vass(scheme), s, t, cap, budget=2_000_000)
+    if again.kind != UNREACHABLE_WITHIN_CAP:
+        return [f"line {lineno}: re-decision disagrees on reachability"]
     return []
+
+
+def _path_vass(scheme: Slps) -> Vass:
+    """The simple scheme a0 b1* a1 ... bK* aK as a path automaton: a_i is
+    the edge q_i -> q_(i+1), b_i a self-loop on q_i, q0 initial and
+    q(K+1) accepting."""
+    states = tuple(f"q{i}" for i in range(scheme.K + 2))
+    edges = [(states[i], scheme.alpha_vec(i), states[i + 1]) for i in range(scheme.K + 1)]
+    edges += [(states[i + 1], scheme.beta_vec(i), states[i + 1]) for i in range(scheme.K)]
+    return Vass(states, tuple(edges), frozenset({states[0]}), frozenset({states[-1]}))

@@ -675,22 +675,36 @@ def _lps_blocks(scheme: Lps):
 
 
 def path_profile(scheme: Lps, reps) -> tuple[int, PlaneVector, PlaneVector]:
-    """(length, effect, drop) of one scheme path, by block composition."""
+    """(length, effect, drop) of one scheme path, by block composition.
+
+    One pass over a block's letters gives its effect w and prefix drop d
+    (both per axis, d <= min(0, w)).  n >= 1 turns of the block from
+    running effect E reach their lowest prefix at E + d + min(0, (n-1)*w),
+    so each block composes in closed form, whatever its exponent.
+    """
     ln, ex, ey, dx, dy = 0, 0, 0, 0, 0
+    cycles = iter(reps)
     for kind, word in _lps_blocks(scheme):
-        e = effect(word)
-        visited = run(word, Configuration(0, 0)).visited
-        drop_x = min(p.x for p in visited)
-        drop_y = min(p.y for p in visited)
-        turns = 1 if kind == "L" else reps[0]
-        if kind == "C":
-            reps = reps[1:]
-        for _ in range(turns):
-            dx = min(dx, ex + drop_x)
-            dy = min(dy, ey + drop_y)
-            ex += e.x
-            ey += e.y
-            ln += len(word)
+        n = 1 if kind == "L" else next(cycles)
+        if n == 0:
+            continue
+        wx = wy = bx = by = 0
+        for v in word:
+            wx += v.x
+            wy += v.y
+            if wx < bx:
+                bx = wx
+            if wy < by:
+                by = wy
+        low_x = ex + bx + ((n - 1) * wx if wx < 0 else 0)
+        low_y = ey + by + ((n - 1) * wy if wy < 0 else 0)
+        if low_x < dx:
+            dx = low_x
+        if low_y < dy:
+            dy = low_y
+        ex += n * wx
+        ey += n * wy
+        ln += n * len(word)
     return ln, PlaneVector(ex, ey), PlaneVector(dx, dy)
 
 
@@ -709,14 +723,49 @@ def _compress(states, max_len: int) -> dict[tuple, list]:
     return by_eff
 
 
-def _targets(compressed, sx: int, sy: int) -> set[tuple[int, int]]:
-    out = set()
-    for (ex, ey), drops in compressed.items():
-        tx, ty = sx + ex, sy + ey
-        if 0 <= tx <= 48 and 0 <= ty <= 48:
-            if any(sx + dx >= 0 and sy + dy >= 0 for dx, dy in drops):
-                out.add((tx, ty))
+_SOURCES = range(0, 9)  # both source coordinates range over 0..8
+_BOX = 48  # targets are kept only inside [0, 48]^2
+
+
+def _thresholds(drops) -> list[int]:
+    """For each source x in _SOURCES, the least source y >= 0 that some
+    drop in ``drops`` admits (len(_SOURCES) when none does)."""
+    out = []
+    for sx in _SOURCES:
+        least = len(_SOURCES)
+        for dx, dy in drops:
+            if sx + dx >= 0 and -dy < least:
+                least = max(0, -dy)
+        out.append(least)
     return out
+
+
+def _lost_target(origin, union) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
+    """The first source (x, then y order, both in 0..8) from which the
+    origin reaches a target in [0,48]^2 that the union does not, with the
+    least such target; None when no target is lost.
+
+    Both arguments map an effect to its Pareto-maximal drops.  A source s
+    admits a drop d when s + d >= 0, so for a fixed source x the sources
+    y a set of drops admits form an up-set {y : y >= threshold(x)}.
+    Distinct effects give distinct targets from one source, so effect e
+    loses its target at (x, y) exactly when the origin's threshold <= y <
+    the union's threshold and (x, y) + e lies in the box.
+    """
+    best = None
+    for (ex, ey), drops in origin.items():
+        here = _thresholds(drops)
+        there = _thresholds(union.get((ex, ey), ()))
+        for sx in _SOURCES:
+            if not 0 <= sx + ex <= _BOX:
+                continue
+            sy = max(here[sx], -ey)
+            if sy < min(there[sx], _BOX + 1 - ey):
+                found = ((sx, sy), (sx + ex, sy + ey))
+                if best is None or found < best:
+                    best = found
+                break
+    return best
 
 
 def _check_thm12(scheme: Lps) -> Optional[str]:
@@ -751,11 +800,10 @@ def _check_thm12(scheme: Lps) -> Optional[str]:
                 if not any(qx >= pair[0] and qy >= pair[1] for qx, qy in merged):
                     merged[:] = [q for q in merged if not (pair[0] >= q[0] and pair[1] >= q[1])]
                     merged.append(pair)
-    for sx in range(0, 9):
-        for sy in range(0, 9):
-            missing = _targets(origin_compressed, sx, sy) - _targets(union_compressed, sx, sy)
-            if missing:
-                return f"target {sorted(missing)[0]} from ({sx},{sy}) lost by the split"
+    lost = _lost_target(origin_compressed, union_compressed)
+    if lost is not None:
+        (sx, sy), target = lost
+        return f"target {target} from ({sx},{sy}) lost by the split"
     return None
 
 

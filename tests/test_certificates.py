@@ -1,5 +1,7 @@
 """Certificate serialization round-trips and independent re-checking."""
 
+import os
+
 import pytest
 
 from vasskit import (
@@ -12,6 +14,7 @@ from vasskit import (
     certificates,
     cut_by_vector,
     decide,
+    schemes,
     slps_of,
 )
 from vasskit.certificates import (
@@ -23,6 +26,8 @@ from vasskit.certificates import (
     serialize_verdict,
     verify_certificate_file,
 )
+
+from conftest import GOLDENS_DIR
 
 V = PlaneVector
 UP = slps_of([ZERO, ZERO], [V(0, 1)])
@@ -123,6 +128,20 @@ def test_verify_result_certificate(tmp_path):
     assert verify_certificate_file(str(cert)) == []
     cert.write_text("instance: up.vas\nresult: reachable=false\n")
     assert verify_certificate_file(str(cert)) != []
+
+
+def test_verify_scheme_negative_does_not_trust_slps_reach(tmp_path, monkeypatch):
+    def always_unreachable(scheme, source, target, budget=None):
+        return WitnessResult(reachable=False)
+
+    monkeypatch.setattr(schemes, "slps_reach", always_unreachable)
+    monkeypatch.setattr(certificates, "slps_reach", always_unreachable, raising=False)
+    (tmp_path / "up.vas").write_text(UP_TEXT + "query 0 0 -> 0 3\n")
+    cert = tmp_path / "result.cert"
+    cert.write_text("instance: up.vas\nresult: reachable=false\n")
+    assert verify_certificate_file(str(cert)) != []
+    bundled = os.path.join(GOLDENS_DIR, "certs", "g10-slps-unreach.cert")
+    assert verify_certificate_file(bundled) == []
 
 
 def test_verify_unknown_line(tmp_path):

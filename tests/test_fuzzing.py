@@ -1,9 +1,13 @@
 """Fuzzing harness internals: oracles, determinism, minimization."""
 
+import dataclasses
 from random import Random
 
-from vasskit import PlaneVector, ZERO, cone_contains, cone_contains_zero, slps_of
-from vasskit import fuzzing
+import pytest
+
+from vasskit import Configuration, PlaneVector, ZERO, cone_contains, cone_contains_zero, slps_of
+from vasskit import fuzzing, schemes
+from vasskit.core import Lps, effect, instantiate, run
 
 V = PlaneVector
 
@@ -42,17 +46,94 @@ def test_bounded_relation_single_cycle():
 
 
 def test_path_profile_matches_run():
-    from vasskit import Configuration, effect, run
-    from vasskit.core import Lps
-
     scheme = Lps(((V(0, 1),), ()), ((V(1, -1), V(-1, 1)),))
-    word = (V(0, 1),) + (V(1, -1), V(-1, 1)) * 3
-    length, eff, drop = fuzzing.path_profile(scheme, (3,))
-    assert length == len(word)
-    assert eff == effect(word)
-    trace = run(word, Configuration(0, 0))
-    assert drop.x == min(p.x for p in trace.visited)
-    assert drop.y == min(p.y for p in trace.visited)
+    cases = [(scheme, (3,))]
+    rng = Random(21)
+    for _ in range(2500):
+        scheme = fuzzing._gen_lps(rng)
+        reps = tuple(rng.choice((0, 1, 2, rng.randint(0, 45))) for _ in range(scheme.K))
+        cases.append((scheme, reps))
+    for scheme, reps in cases:
+        word = instantiate(scheme, reps)
+        visited = run(word, Configuration(0, 0)).visited
+        expected = (
+            len(word),
+            effect(word),
+            V(min(p.x for p in visited), min(p.y for p in visited)),
+        )
+        assert fuzzing.path_profile(scheme, reps) == expected, (scheme, reps)
+
+
+def _lost_by_sources(origin, union):
+    """Per-source reference: the set difference of reached targets."""
+
+    def targets(compressed, sx, sy):
+        return {
+            (sx + ex, sy + ey)
+            for (ex, ey), drops in compressed.items()
+            if 0 <= sx + ex <= 48 and 0 <= sy + ey <= 48
+            and any(sx + dx >= 0 and sy + dy >= 0 for dx, dy in drops)
+        }
+
+    for sx in range(9):
+        for sy in range(9):
+            missing = targets(origin, sx, sy) - targets(union, sx, sy)
+            if missing:
+                return (sx, sy), min(missing)
+    return None
+
+
+def _pareto(pairs):
+    return [p for p in pairs if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in pairs)]
+
+
+def test_lost_target_matches_per_source_reference():
+    rng = Random(22)
+    lost = 0
+    for _ in range(6000):
+        origin, union = {}, {}
+        for _ in range(rng.randint(1, 6)):
+            eff = (rng.randint(-12, 12), rng.randint(-12, 12))
+            drops = {(rng.randint(-10, 0), rng.randint(-10, 0)) for _ in range(rng.randint(1, 3))}
+            origin[eff] = _pareto(drops)
+            if rng.random() < 0.8:  # a shifted copy: often weaker, sometimes stronger
+                shifted = {(dx + rng.randint(-3, 1), dy + rng.randint(-3, 1)) for dx, dy in drops}
+                union[eff] = _pareto({(min(dx, 0), min(dy, 0)) for dx, dy in shifted})
+        if rng.random() < 0.3:
+            union[(rng.randint(-12, 12), rng.randint(-12, 12))] = [(0, 0)]
+        expected = _lost_by_sources(origin, union)
+        assert fuzzing._lost_target(origin, union) == expected, (origin, union)
+        lost += expected is not None
+    assert lost >= 2000
+
+
+@pytest.mark.parametrize(
+    "scheme, dropped, violation",
+    [
+        (
+            Lps(((), (V(2, -2), V(-2, 2))), ((V(-1, 0), V(2, -2)),)),
+            1,
+            "target (2, 2) from (1,4) lost by the split",
+        ),
+        (
+            Lps(((), (), (), ()), ((V(2, 2),), (V(1, 1),), (V(-2, -1),))),
+            1,
+            "target (0, 0) from (2,1) lost by the split",
+        ),
+    ],
+    ids=["one-cycle", "three-cycles"],
+)
+def test_thm12_reports_the_first_lost_target(monkeypatch, scheme, dropped, violation):
+    split = schemes.split_lps
+
+    def without_member(origin):
+        family = split(origin)
+        members = family.members[:dropped] + family.members[dropped + 1:]
+        return dataclasses.replace(family, members=members)
+
+    assert fuzzing._check_thm12(scheme) is None
+    monkeypatch.setattr(schemes, "split_lps", without_member)
+    assert fuzzing._check_thm12(scheme) == violation
 
 
 def test_run_target_deterministic():

@@ -73,10 +73,6 @@ class Configuration:
     def to_vector(self) -> PlaneVector:
         return PlaneVector(self.x, self.y)
 
-    @staticmethod
-    def from_vector(v: PlaneVector) -> "Configuration":
-        return Configuration(v.x, v.y)
-
     @property
     def norm(self) -> int:
         return max(self.x, self.y)

@@ -7,8 +7,9 @@ optional length bound stops it from expanding past that depth, and a
 budget on expanded pairs ends every search.  A positive answer comes with
 a shortest in-cap witness; a negative answer is only ever "unreachable
 within this cap" (and bound), because the cap for the general system is
-heuristic.  Unconditional negative answers are reserved for the
-simple-scheme decider, whose cap is backed by an explicit bound.
+heuristic.  The same kernel decides simple schemes: ``schemes.slps_reach``
+runs it on a scheme's path automaton at a cap backed by an explicit bound,
+so there, and only there, a negative answer is unconditional.
 
 The kernel numbers the automaton's states 0..n-1 in declaration order
 and keys a node (state i, x, y) by the one int ``(x*(cap+1) + y)*n + i``.
@@ -169,6 +170,8 @@ def decide_capped_bfs(
             explored += 1
             if explored > budget:
                 largest = max(max(divmod(k // n, width)) for k in frontier)
+                # a caught exception keeps this frame alive through its traceback
+                del parents, frontier, nxt_frontier, push
                 raise BudgetExceededError(
                     f"search exceeded its budget of {budget} states at depth {depth};"
                     f" largest counter on the frontier: {largest}"

@@ -527,7 +527,9 @@ def _gen_thm10(rng: Random):
 def _word_oracle_zero_witness_length(scheme: Slps, cap: int, budget: int) -> Optional[int]:
     """Word-level oracle: expand one concrete letter per level, with
     free moves past unused cycles folded into a closure step."""
-    items = schemes._scheme_items(scheme)
+    items: list[tuple] = [("L", scheme.alpha_vec(0))]
+    for i in range(scheme.K):
+        items += [("C", scheme.beta_vec(i)), ("L", scheme.alpha_vec(i + 1))]
 
     def closure(states):
         out = set(states)

@@ -4,13 +4,15 @@ A general linear path scheme is split into at most 3^K simple schemes by
 fixing, per cycle, whether it is used zero times, exactly once, or at
 least twice; the last case replaces the cycle by its single-vector effect
 flanked by one unrolled copy on each side.  Simple schemes admit a
-complete reachability decision: admissible paths between the wrapped
-endpoints can be capped by an explicit bound on visited-point norms.
+complete reachability decision: admissible paths between the endpoints
+can be capped by an explicit bound on visited-point norms.  The decider
+has no search of its own: it runs ``decide.decide_capped_bfs`` at that
+cap on the scheme's path automaton, segments as edges and cycles as
+self-loops, and reads the cycle exponents off the witness's state trace.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
@@ -21,13 +23,15 @@ from .core import (
     PlaneVector,
     SchemePath,
     Slps,
+    Vass,
     Word,
     ZERO,
     effect,
     instantiate,
     run,
 )
-from .errors import BudgetExceededError, PreconditionError
+from .decide import decide_capped_bfs
+from .errors import InternalDefectError, PreconditionError
 
 
 def loop_normalize(scheme: Lps) -> Lps:
@@ -191,75 +195,29 @@ class WitnessResult:
     max_visited_norm: Optional[int] = None
 
 
-def _scheme_items(scheme: Slps, prefix: Word = (), suffix: Word = ()):
-    """Flatten a scheme (with optional wrapper letters) into a list of
-    ('L', vector) fixed letters and ('C', vector, cycle index) cycles."""
-    items: list[tuple] = [("L", v) for v in prefix]
-    items.append(("L", scheme.alpha_vec(0)))
+def _path_automaton(scheme: Slps) -> Vass:
+    """The scheme as a path automaton over states q0..q(K+1): a_i is the
+    edge q_i -> q_(i+1) and b_i a self-loop on q_(i+1).  Each state lists
+    its self-loop before its exit edge; that order fixes which of several
+    equally short witnesses the kernel returns."""
+    states = tuple(f"q{i}" for i in range(scheme.K + 2))
+    edges = [(states[0], scheme.alpha_vec(0), states[1])]
     for i in range(scheme.K):
-        items.append(("C", scheme.beta_vec(i), i))
-        items.append(("L", scheme.alpha_vec(i + 1)))
-    items.extend(("L", v) for v in suffix)
-    return items
+        q = states[i + 1]
+        edges += [(q, scheme.beta_vec(i), q), (q, scheme.alpha_vec(i + 1), states[i + 2])]
+    return Vass(states, tuple(edges), frozenset({states[0]}), frozenset({states[-1]}))
 
 
-def _capped_search(items, cycles: int, cap: int, budget: int):
-    """Shortest admissible 0 -> 0 path through the item list with every
-    visited point's norm at most ``cap``.
-
-    0-1 breadth-first search: letter edges cost one, skipping past a
-    cycle costs nothing, so the front is ordered by word length.  Returns
-    cycle exponents or None when the capped space is exhausted.
-    """
-    start = (0, 0, 0)
-    goal = (len(items), 0, 0)
-    dist: dict[tuple, int] = {start: 0}
-    parents: dict[tuple, Optional[tuple]] = {start: None}
-    queue: deque[tuple[int, tuple]] = deque([(0, start)])
-    explored = 0
-    while queue:
-        d, state = queue.popleft()
-        if d > dist.get(state, d):
-            continue  # stale entry superseded by a relaxation
-        if state == goal:
-            break
-        explored += 1
-        if explored > budget:
-            raise BudgetExceededError(f"capped search exceeded its budget of {budget} states")
-        pos, x, y = state
-        moves = []
-        if pos < len(items):
-            kind, vec = items[pos][0], items[pos][1]
-            if kind == "C":
-                moves.append((1, (pos, x + vec.x, y + vec.y)))  # take the cycle once
-                moves.append((0, (pos + 1, x, y)))  # or move past it
-            else:
-                moves.append((1, (pos + 1, x + vec.x, y + vec.y)))
-        for cost, nxt in moves:
-            _, nx, ny = nxt
-            if nx < 0 or ny < 0 or nx > cap or ny > cap:
-                continue
-            nd = d + cost
-            if nd >= dist.get(nxt, nd + 1):
-                continue
-            dist[nxt] = nd
-            parents[nxt] = state
-            if cost == 0:
-                queue.appendleft((nd, nxt))
-            else:
-                queue.append((nd, nxt))
-    if goal not in parents:
+def _shortest_path(
+    scheme: Slps, source: Configuration, target: Configuration, cap: int, budget: int
+) -> Optional[SchemePath]:
+    """Cycle exponents of a shortest admissible source -> target path of
+    the scheme with every visited norm at most ``cap``, or None: the
+    kernel's witness spends exponent n_i + 1 states on q_(i+1)."""
+    verdict = decide_capped_bfs(_path_automaton(scheme), source, target, cap, budget=budget)
+    if verdict.states is None:
         return None
-    exponents = [0] * cycles
-    state = goal
-    while parents[state] is not None:
-        prev = parents[state]
-        if prev[0] == state[0] and state != prev:
-            kind, _vec, idx = items[prev[0]][0], items[prev[0]][1], items[prev[0]][2]
-            if kind == "C":
-                exponents[idx] += 1
-        state = prev
-    return tuple(exponents)
+    return tuple(verdict.states.count(f"q{i + 1}") - 1 for i in range(scheme.K))
 
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
@@ -270,28 +228,19 @@ def slps_reach(
 ) -> WitnessResult:
     """Complete reachability decision for a simple scheme.
 
-    Wraps the scheme as (source) . scheme . (-target), so the question
-    becomes an admissible 0 -> 0 path; such a path, if one exists, exists
-    within the explicit norm cap, making a negative answer unconditional.
+    Runs the capped BFS kernel on the scheme's path automaton from source
+    to target.  An admissible path, if one exists, exists within the
+    explicit norm cap over the scheme and both endpoints, so a negative
+    answer is unconditional.  Raises BudgetExceededError once more than
+    ``budget`` automaton states have been expanded.
     """
-    if scheme.norm == 0:
-        reachable = source == target
-        exps = (0,) * scheme.K if reachable else None
-        return WitnessResult(
-            reachable, member=0 if reachable else None, exponents=exps,
-            max_visited_norm=source.norm if reachable else None,
-        )
-    wrapped_norm = max(scheme.norm, source.norm, target.norm)
-    cap = norm_bound_value(scheme.K + 2, wrapped_norm)
-    items = _scheme_items(
-        scheme, prefix=(source.to_vector(),), suffix=(-target.to_vector(),)
-    )
-    exponents = _capped_search(items, scheme.K, cap, budget)
+    cap = norm_bound_value(scheme.K + 2, max(scheme.norm, source.norm, target.norm))
+    exponents = _shortest_path(scheme, source, target, cap, budget)
     if exponents is None:
         return WitnessResult(reachable=False)
     trace = run(instantiate(scheme, exponents), source)
     if not trace.admissible or trace.target != target.to_vector():
-        raise BudgetExceededError("search produced an invalid witness")  # pragma: no cover
+        raise InternalDefectError("search produced an invalid witness")
     return WitnessResult(
         reachable=True,
         member=0,
@@ -304,5 +253,5 @@ def shortest_zero_witness(
     scheme: Slps, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> Optional[SchemePath]:
     """A minimum-length admissible 0 -> 0 path of the scheme, or None."""
-    cap = norm_bound(scheme)
-    return _capped_search(_scheme_items(scheme), scheme.K, cap, budget)
+    origin = Configuration(0, 0)
+    return _shortest_path(scheme, origin, origin, norm_bound(scheme), budget)

@@ -1,14 +1,20 @@
 """Scheme transformations, the norm bound, and the complete simple-scheme
 decider."""
 
+from random import Random
+
 import pytest
 
 from vasskit import (
+    REACHABLE,
     BudgetExceededError,
     Configuration,
+    InternalDefectError,
     Lps,
     PlaneVector,
+    Verdict,
     ZERO,
+    brute_force_oracle,
     check_loop_lemma,
     effect,
     instantiate,
@@ -22,6 +28,7 @@ from vasskit import (
     slps_reach,
     split_lps,
 )
+from vasskit import certificates, schemes
 
 V = PlaneVector
 UP = slps_of([ZERO, ZERO], [V(0, 1)])
@@ -150,3 +157,69 @@ def test_shortest_zero_witness():
     assert shortest_zero_witness(forced_up) is None
     round_trip = slps_of([V(0, 2), ZERO], [V(0, -1)])
     assert shortest_zero_witness(round_trip) == (2,)
+
+
+def test_witness_tie_breaks_pinned():
+    # each path state tries its self-loop before its exit edge; exit-first
+    # would return (0, 1) and (0, 1, 0), equally short
+    scheme = slps_of([V(-1, -1), V(2, 2), V(-1, 0)], [V(0, -2), V(0, -2)])
+    assert slps_reach(scheme, Configuration(3, 3), Configuration(3, 2)).exponents == (1, 0)
+    scheme = slps_of([V(2, 0), V(-2, 2), ZERO, V(-1, -2)], [V(1, 0), V(1, 0), V(0, 1)])
+    assert shortest_zero_witness(scheme) == (1, 0, 0)
+
+
+def test_slps_reach_budget_message():
+    drift = slps_of([ZERO, ZERO], [V(2, 0)])
+    with pytest.raises(BudgetExceededError) as info:
+        slps_reach(drift, Configuration(0, 0), Configuration(0, 1), budget=10)
+    assert str(info.value) == (
+        "search exceeded its budget of 10 states at depth 6; largest counter on the frontier: 10"
+    )
+
+
+def test_kept_budget_error_does_not_pin_the_search():
+    drift = slps_of([ZERO, ZERO], [V(2, 0)])
+    with pytest.raises(BudgetExceededError) as info:
+        slps_reach(drift, Configuration(0, 0), Configuration(0, 1), budget=1_000)
+    tb = info.value.__traceback__
+    while tb is not None:
+        assert "parents" not in tb.tb_frame.f_locals, tb.tb_frame.f_code.co_name
+        tb = tb.tb_next
+
+
+def test_invalid_witness_is_a_defect_not_a_budget_out(monkeypatch):
+    def bogus(vass, source, target, cap, **kwargs):
+        # claims q0 -> q1 -> q2 reaches the target: exponent 0 never climbs
+        return Verdict(kind=REACHABLE, cap=cap, witness=(ZERO, ZERO), states=("q0", "q1", "q2"))
+
+    monkeypatch.setattr(schemes, "decide_capped_bfs", bogus)
+    with pytest.raises(InternalDefectError, match="invalid witness"):
+        slps_reach(UP, Configuration(0, 0), Configuration(0, 3))
+
+
+def test_slps_reach_matches_oracle_on_path_automaton():
+    # the oracle runs on the verifier's own path automaton, not the decider's
+    rng = Random(5)
+    compared = reachable = 0
+    for _ in range(400):
+        k = rng.randint(0, 3)
+        norm = rng.randint(0, 2)
+        letter = lambda: V(rng.randint(-norm, norm), rng.randint(-norm, norm))
+        scheme = slps_of([letter() for _ in range(k + 1)], [letter() for _ in range(k)])
+        s = Configuration(rng.randint(0, 3), rng.randint(0, 3))
+        t = Configuration(rng.randint(0, 3), rng.randint(0, 3))
+        trace = run(instantiate(scheme, [rng.randint(0, 3) for _ in range(k)]), s)
+        if rng.random() < 0.5 and trace.admissible:
+            t = Configuration(trace.target.x, trace.target.y)  # reachable by construction
+        cap = norm_bound_value(k + 2, max(scheme.norm, s.norm, t.norm))
+        try:
+            result = slps_reach(scheme, s, t, budget=2_000)
+            oracle = brute_force_oracle(certificates._path_vass(scheme), s, t, cap, budget=4_000)
+        except BudgetExceededError:
+            continue
+        compared += 1
+        assert result.reachable == (oracle.kind == REACHABLE)
+        if result.reachable:
+            reachable += 1
+            assert k + 1 + sum(result.exponents) == oracle.length
+    assert compared >= 300 and reachable >= 100

@@ -258,9 +258,9 @@ def _check_result(result: WitnessResult, instance_file: Optional[str], lineno: i
 
 
 def _path_vass(scheme: Slps) -> Vass:
-    """The simple scheme a0 b1* a1 ... bK* aK as a path automaton: a_i is
-    the edge q_i -> q_(i+1), b_i a self-loop on q_i, q0 initial and
-    q(K+1) accepting."""
+    """The simple scheme a_0 b_0* a_1 ... b_(K-1)* a_K as a path automaton:
+    a_i is the edge q_i -> q_(i+1), b_i a self-loop on q_(i+1), q0 initial
+    and q(K+1) accepting."""
     states = tuple(f"q{i}" for i in range(scheme.K + 2))
     edges = [(states[i], scheme.alpha_vec(i), states[i + 1]) for i in range(scheme.K + 1)]
     edges += [(states[i + 1], scheme.beta_vec(i), states[i + 1]) for i in range(scheme.K)]

@@ -1,18 +1,18 @@
 """Command-line front end.
 
-Subcommands: decide, slps-decide, shorten, flatten, verify, fuzz, bench.
+Subcommands: decide, slps-decide, shorten, flatten, verify, fuzz.
 Exit codes are a fixed contract: 0 success/Reachable, 1 negative verdict
-or failed verification/fuzzing, 2 input error, 3 budget exhaustion.
-All output except bench timing columns is byte-identical across runs
-given the same inputs and seeds.
+or failed verification/fuzzing, 2 input error, 3 budget exhaustion,
+4 internal defect (a state the construction rules out was reached).
+All output is byte-identical across runs given the same inputs and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-import time
 from typing import Optional
 
 from . import certificates, decide, fuzzing, schemes, shortening
@@ -24,6 +24,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_DEFECT = 4
 
 
 def _parse_vector(text: str) -> PlaneVector:
@@ -216,42 +217,15 @@ def _report_thm10_margin(args, out) -> None:
     print(f"fuzz: max observed visited norm {observed} vs bound {bound}", file=out)
 
 
-def _cmd_bench(args, out) -> int:
-    try:
-        names = sorted(n for n in os.listdir(args.dir) if n.endswith(".vas"))
-    except OSError as exc:
-        raise ParseError(f"cannot list {args.dir}: {exc}")
-    print("instance\tverdict\tlength\texplored\tseconds", file=out)
-    for name in names:
-        path = os.path.join(args.dir, name)
-        started = time.monotonic()
-        try:
-            instance = load_instance(path)
-            if instance.query is None:
-                raise ParseError("no query line")
-            s, t = instance.query
-            if instance.kind == "vass":
-                verdict = decide.decide_capped_bfs(
-                    instance.vass, s, t, decide.default_cap(instance.vass, s, t)
-                )
-                kind, length, explored = verdict.kind, verdict.length, verdict.explored
-            elif instance.kind == "slps":
-                result = schemes.slps_reach(instance.scheme, s, t)
-                kind = "Reachable" if result.reachable else "Unreachable"
-                length = sum(result.exponents) + instance.scheme.K + 1 if result.reachable else None
-                explored = 0
-            else:
-                raise ParseError("bench supports automaton and simple scheme files")
-        except VasskitError as exc:
-            print(f"{name}\terror\t-\t-\t{exc}", file=out)
-            continue
-        elapsed = time.monotonic() - started
-        shown = "-" if length is None else str(length)
-        print(f"{name}\t{kind}\t{shown}\t{explored}\t{elapsed:.3f}", file=out)
-    return EXIT_OK
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``vasskit`` argument parser, built on the first call.
+
+    Every later call returns the same parser, so it is shared by all
+    ``main()`` calls in the process and must not be mutated.  Each
+    ``parse_args`` makes a fresh namespace, so no state carries from one
+    call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="vasskit",
         description="Reachability toolkit for planar vector addition systems and path schemes.",
@@ -301,30 +275,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repro", default=None, help="reproduction file on failure")
     p.set_defaults(handler=_cmd_fuzz)
-
-    p = sub.add_parser("bench", help="run all instances in a directory and print a table")
-    p.add_argument("dir")
-    p.set_defaults(handler=_cmd_bench)
     return parser
 
 
+# the first entry that matches the exception's class decides the exit code
+_ERROR_EXIT_CODES = (
+    ((ParseError, OSError, PreconditionError), EXIT_INPUT),
+    (BudgetExceededError, EXIT_BUDGET),
+    (VasskitError, EXIT_DEFECT),
+)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args, sys.stdout)
-    except (ParseError, OSError) as exc:
+    except (OSError, VasskitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except VasskitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+        return next(code for kinds, code in _ERROR_EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from conftest import GOLDENS_DIR, golden_argv
-from vasskit import cli
+from vasskit import cli, decide, schemes
 
 LOOP_TEXT = "vass\nstates a\ninit a\nfinal a\nedge a a -1 1\nquery 2 0 -> 0 2\n"
 
@@ -133,23 +133,6 @@ def test_fuzz_unknown_target(capsys):
     capsys.readouterr()
 
 
-def test_bench(tmp_path, capsys):
-    (tmp_path / "a.vas").write_text(LOOP_TEXT)
-    (tmp_path / "b.vas").write_text("slps\nseg 0 0\ncyc 0 1\nseg 0 0\nquery 0 0 -> 0 3\n")
-    code, out = run_cli(["bench", str(tmp_path)], capsys)
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "instance\tverdict\tlength\texplored\tseconds"
-    assert lines[1].startswith("a.vas\tReachable\t2\t")
-    assert lines[2].startswith("b.vas\tReachable\t")
-
-
-def test_bench_empty_dir(tmp_path, capsys):
-    code, out = run_cli(["bench", str(tmp_path)], capsys)
-    assert code == 0
-    assert out == "instance\tverdict\tlength\texplored\tseconds\n"
-
-
 def test_goldens_match_expected_outputs(capsys):
     for name in sorted(os.listdir(GOLDENS_DIR)):
         if not name.endswith(".vas"):
@@ -163,8 +146,46 @@ def test_goldens_match_expected_outputs(capsys):
 
 def test_console_script_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "vasskit.cli", "bench", os.path.join(GOLDENS_DIR, "expected")],
+        [
+            sys.executable, "-m", "vasskit.cli",
+            "verify", os.path.join(GOLDENS_DIR, "certs", "g01-loop.cert"),
+        ],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
+    assert proc.stdout == "verify: ok\n"
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_no_state_carries_between_calls(tmp_path, capsys):
+    f = tmp_path / "loop.vas"
+    f.write_text(LOOP_TEXT)
+    cert = tmp_path / "a.cert"
+    code, out = run_cli(
+        ["decide", str(f), "--cap", "10", "--length-bound", "1", "--cert", str(cert)], capsys
+    )
+    assert (code, out) == (1, "verdict: kind=UnreachableWithinCap cap=10 bound=1\n")
+    written = cert.read_text()
+    code, out = run_cli(["decide", str(f), "--cap", "10"], capsys)
+    assert code == 0 and "bound=" not in out
+    assert cert.read_text() == written
+    assert sorted(os.listdir(tmp_path)) == ["a.cert", "loop.vas"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["shorten", str(f)])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(["verify", str(cert)], capsys) == (0, "verify: ok\n")
+
+
+def test_internal_defect_exits_4(monkeypatch, capsys):
+    # a state trace that never takes the self-loop: exponent 0 misses the target
+    bogus = decide.Verdict(kind=decide.REACHABLE, cap=3, states=("q0", "q1", "q2"))
+    monkeypatch.setattr(schemes, "decide_capped_bfs", lambda *args, **kwargs: bogus)
+    code = cli.main(["slps-decide", os.path.join(GOLDENS_DIR, "g09-slps-up.vas")])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err == "error: search produced an invalid witness\n"

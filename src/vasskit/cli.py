@@ -287,7 +287,10 @@ _ERROR_EXIT_CODES = (
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 after printing a usage error
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.handler(args, sys.stdout)
     except (OSError, VasskitError) as exc:

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from vasskit import decide
 from vasskit import (
     BudgetExceededError,
     Configuration,
@@ -164,6 +165,67 @@ def test_budget_message_diagnoses():
         "search exceeded its budget of 50 states at depth 9;"
         " largest counter on the frontier: 9"
     )
+
+
+def _outcome(vass, s, t, cap, bound, budget):
+    try:
+        return decide_capped_bfs(vass, s, t, cap, length_bound=bound, budget=budget)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def test_dense_levels_match_sparse_loop(monkeypatch):
+    rng = Random(7)
+    letters = [V(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    budget_outs = reachable = 0
+    for _ in range(2000):
+        states = ("a", "b", "c", "d")[: rng.randint(1, 4)]
+        edges = [
+            (rng.choice(states), rng.choice(letters), rng.choice(states))
+            for _ in range(rng.randint(1, 7))
+        ]
+        edges += rng.sample(edges, rng.randint(0, len(edges)))  # duplicate edges
+        rng.shuffle(edges)
+        vass = Vass(
+            states, tuple(edges),
+            frozenset(rng.sample(states, rng.randint(1, len(states)))),
+            frozenset(rng.sample(states, rng.randint(1, len(states)))),
+        )
+        cap = rng.randint(0, 30)
+        s = Configuration(rng.randint(0, cap), rng.randint(0, cap))
+        t = Configuration(rng.randint(0, cap), rng.randint(0, cap))
+        bound = rng.randint(-1, 15)
+        bound = None if bound < 0 else bound
+        budget = rng.randint(0, 300)
+        dense = _outcome(vass, s, t, cap, bound, budget)
+        with monkeypatch.context() as m:
+            m.setattr(decide, "GRID_BITS", 0)
+            sparse = _outcome(vass, s, t, cap, bound, budget)
+        assert dense == sparse, (vass, s, t, cap, bound, budget)
+        budget_outs += isinstance(dense, str)
+        reachable += not isinstance(dense, str) and dense.kind == REACHABLE
+    # every outcome class is exercised
+    assert budget_outs > 100 and reachable > 100
+
+
+def test_dense_selector(monkeypatch):
+    real = decide._sparse_bfs
+    calls = []
+
+    def refuse(*args):
+        raise AssertionError("sparse loop called")
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(decide, "_sparse_bfs", refuse)
+    # x + y is invariant, so the whole diagonal of 31 nodes is expanded
+    verdict = decide_capped_bfs(LOOP, Configuration(30, 0), Configuration(0, 29), 30)
+    assert verdict.kind == UNREACHABLE_WITHIN_CAP and verdict.explored == 31
+    monkeypatch.setattr(decide, "_sparse_bfs", counting)
+    verdict = decide_capped_bfs(LOOP, Configuration(2, 0), Configuration(0, 2), 30)
+    assert verdict.witness == (V(-1, 1), V(-1, 1)) and len(calls) == 1
 
 
 def test_oracle_length_bound():

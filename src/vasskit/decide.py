@@ -26,7 +26,12 @@ int's two ends catch every step that leaves the cap, and a mask clears
 them together with the nodes already seen.  It counts ``explored`` per
 level and raises the budget error with the same depth and largest
 counter as the sparse form.  As soon as a level contains a goal it hands
-the whole query to the sparse form, which spells the witness.
+the whole query to the sparse form, which spells the witness; it does the
+same once its shifts have cost more word operations per expanded node
+than ``THIN_WORDS``, so that a deep search of a few nodes per level costs
+about what the sparse form costs.  A letter with a coordinate beyond the
+cap never fires inside it, so the dense form leaves it out of its shifts
+and of the pad P.
 
 The sparse form, ``_sparse_bfs``, numbers the automaton's states 0..n-1
 in declaration order and keys a node (state i, x, y) by the one int
@@ -137,8 +142,21 @@ def _rebuild(parents, key, names, out, maxdeg):
 # are searched as bitsets; larger ones go straight to the sparse loop.  On
 # the path automata of 400 random simple schemes (K = 1..3, letters of norm
 # <= 2, endpoints <= 6; 2-vCPU Xeon VM) dense/sparse time was 0.87 at cap
-# 30, 0.47 at cap 100, 0.40 at cap 250 and 2.51 at cap 1000.
+# 30, 0.47 at cap 100, 0.40 at cap 250 and 2.51 at cap 1000.  Those
+# searches are shallow, a few nodes per level over few levels.
 GRID_BITS = 1 << 16
+
+# A dense level costs about (words + SHIFT_WORDS) word operations per shift,
+# however few nodes it holds, and one node of the sparse loop about 220 of
+# them (least squares over 139 searches, 2-vCPU Xeon VM: 5.9 ns per word,
+# 1.65 us per shift, 1.30 us per sparse node).  Once the shifts so far
+# cost more than THIN_WORDS per node expanded, with a grace of cap nodes,
+# the levels are too thin for bitsets and the query goes to the sparse
+# loop.  No vass-bfs negative of seeds 1..10 and 7919 crosses it; a search
+# of one node per level at cap 250, which took 8.6x the sparse time when
+# the dense form ran to the end, hands over after about 45 levels.
+SHIFT_WORDS = 256
+THIN_WORDS = 384
 
 
 def decide_capped_bfs(
@@ -163,7 +181,8 @@ def decide_capped_bfs(
         )
     if length_bound is not None and length_bound < 0:
         raise PreconditionError(f"length bound {length_bound} is negative")
-    pad = max((abs(v.y) for _, v, _ in vass.edges), default=0)
+    # a letter with a coordinate beyond the cap never fires inside it
+    pad = max((abs(v.y) for _, v, _ in vass.edges if v.norm <= cap), default=0)
     if (cap + 1) * (cap + 1 + pad) <= GRID_BITS:
         verdict = _dense_levels(vass, source, target, cap, pad, length_bound, budget)
         if verdict is not None:
@@ -180,22 +199,25 @@ def _budget_error(budget: int, depth: int, largest: int) -> BudgetExceededError:
 
 def _dense_levels(vass, source, target, cap, pad, length_bound, budget):
     """The search on one bitset per automaton state and level, bit
-    x*w + y for node (x, y); None as soon as a level holds a goal."""
+    x*w + y for node (x, y); None as soon as a level holds a goal or the
+    levels turn out too thin."""
     names = vass.states
     index = {q: i for i, q in enumerate(names)}
     w = cap + 1 + pad
     row = (1 << (cap + 1)) - 1
     mask = row * sum(1 << (r * w) for r in range(cap + 1))
+    words = ((cap + 1) * w >> 6) + 1
     moves = [set() for _ in names]
     for p, v, q in vass.edges:
-        moves[index[p]].add((v.x * w + v.y, index[q]))
+        if v.norm <= cap:
+            moves[index[p]].add((v.x * w + v.y, index[q]))
     level = [0] * len(names)
     for q in vass.initial:
         level[index[q]] = 1 << (source.x * w + source.y)
     unseen = [mask & ~bits for bits in level]
     goal = 1 << (target.x * w + target.y)
     goals = [index[q] for q in vass.accepting]
-    explored = depth = 0
+    explored = depth = shifts = 0
     while any(level):
         if any(level[j] & goal for j in goals):
             return None
@@ -211,12 +233,15 @@ def _dense_levels(vass, source, target, cap, pad, length_bound, budget):
         nxt = [0] * len(names)
         for bits, out in zip(level, moves):
             if bits:
+                shifts += len(out)
                 for shift, j in out:
                     nxt[j] |= bits << shift if shift >= 0 else bits >> -shift
         for j, bits in enumerate(nxt):
             bits &= unseen[j]
             unseen[j] ^= bits
             nxt[j] = bits
+        if shifts * (words + SHIFT_WORDS) > THIN_WORDS * (explored + cap):
+            return None
         level = nxt
         depth += 1
     return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=explored, bound=length_bound)

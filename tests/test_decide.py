@@ -177,6 +177,7 @@ def _outcome(vass, s, t, cap, bound, budget):
 def test_dense_levels_match_sparse_loop(monkeypatch):
     rng = Random(7)
     letters = [V(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    letters += [V(31, -1), V(-2, 31), V(10**12, 0), V(0, -10**12)]  # never fire
     budget_outs = reachable = 0
     for _ in range(2000):
         states = ("a", "b", "c", "d")[: rng.randint(1, 4)]
@@ -226,6 +227,46 @@ def test_dense_selector(monkeypatch):
     monkeypatch.setattr(decide, "_sparse_bfs", counting)
     verdict = decide_capped_bfs(LOOP, Configuration(2, 0), Configuration(0, 2), 30)
     assert verdict.witness == (V(-1, 1), V(-1, 1)) and len(calls) == 1
+
+
+def _forced_sparse(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(decide, "GRID_BITS", 0)
+        return decide_capped_bfs(*args, **kwargs)
+
+
+def test_dense_skips_letters_beyond_cap(monkeypatch):
+    huge = Vass(
+        ("a",),
+        (("a", V(10**12, 0), "a"), ("a", V(0, 10**12), "a"), ("a", V(-1, 1), "a")),
+        frozenset({"a"}),
+        frozenset({"a"}),
+    )
+    s = Configuration(5, 0)
+    for t in (Configuration(0, 5), Configuration(1, 1)):
+        expected = _forced_sparse(monkeypatch, huge, s, t, 5)
+        assert decide_capped_bfs(huge, s, t, 5) == expected
+    assert expected.kind == UNREACHABLE_WITHIN_CAP and expected.explored == 6
+
+
+def test_thin_levels_go_to_sparse_loop(monkeypatch):
+    # one node per level, row by row: 63001 levels at cap 250
+    cap = 250
+    thin = Vass(
+        ("a", "b"), (("a", V(1, 0), "a"), ("a", V(-cap, 1), "a")), frozenset({"a"}), frozenset({"b"})
+    )
+    s, t = Configuration(0, 0), Configuration(cap, cap)
+    expected = _forced_sparse(monkeypatch, thin, s, t, cap)
+    assert expected.explored == (cap + 1) ** 2
+    real = decide._sparse_bfs
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(decide, "_sparse_bfs", counting)
+    assert decide_capped_bfs(thin, s, t, cap) == expected and len(calls) == 1
 
 
 def test_oracle_length_bound():

@@ -12,10 +12,10 @@ runs it on a scheme's path automaton at a cap backed by an explicit bound,
 so there, and only there, a negative answer is unconditional.
 
 The kernel stores the nodes in one of two forms, chosen per call by the
-size of the padded grid before any other set-up: grids of at most
-``GRID_BITS`` bits per automaton state go to the dense form, larger ones
-(the command line's default caps, the scheme caps) straight to the
-sparse form.
+size of the grid: padded grids of at most ``GRID_BITS`` bits per
+automaton state go to the dense form, and a cap whose grid is larger
+even unpadded (the command line's default caps, the scheme caps) goes
+straight to the sparse form, before any other set-up.
 
 The dense form, ``_dense_levels``, holds each BFS level as one int per
 automaton state, a bitset over the padded grid [0,cap] x [0,cap+P] with
@@ -181,10 +181,8 @@ def decide_capped_bfs(
         )
     if length_bound is not None and length_bound < 0:
         raise PreconditionError(f"length bound {length_bound} is negative")
-    # a letter with a coordinate beyond the cap never fires inside it
-    pad = max((abs(v.y) for _, v, _ in vass.edges if v.norm <= cap), default=0)
-    if (cap + 1) * (cap + 1 + pad) <= GRID_BITS:
-        verdict = _dense_levels(vass, source, target, cap, pad, length_bound, budget)
+    if (cap + 1) ** 2 <= GRID_BITS:
+        verdict = _dense_levels(vass, source, target, cap, length_bound, budget)
         if verdict is not None:
             return verdict
     return _sparse_bfs(vass, source, target, cap, length_bound, budget)
@@ -197,20 +195,24 @@ def _budget_error(budget: int, depth: int, largest: int) -> BudgetExceededError:
     )
 
 
-def _dense_levels(vass, source, target, cap, pad, length_bound, budget):
+def _dense_levels(vass, source, target, cap, length_bound, budget):
     """The search on one bitset per automaton state and level, bit
-    x*w + y for node (x, y); None as soon as a level holds a goal or the
-    levels turn out too thin."""
+    x*w + y for node (x, y); None when the padded grid has more than
+    GRID_BITS bits, as soon as a level holds a goal, or once the levels
+    turn out too thin."""
+    # a letter with a coordinate beyond the cap never fires inside it
+    letters = [(p, v, q) for p, v, q in vass.edges if v.norm <= cap]
+    w = cap + 1 + max((abs(v.y) for _, v, _ in letters), default=0)
+    if (cap + 1) * w > GRID_BITS:
+        return None
     names = vass.states
     index = {q: i for i, q in enumerate(names)}
-    w = cap + 1 + pad
     row = (1 << (cap + 1)) - 1
     mask = row * sum(1 << (r * w) for r in range(cap + 1))
     words = ((cap + 1) * w >> 6) + 1
     moves = [set() for _ in names]
-    for p, v, q in vass.edges:
-        if v.norm <= cap:
-            moves[index[p]].add((v.x * w + v.y, index[q]))
+    for p, v, q in letters:
+        moves[index[p]].add((v.x * w + v.y, index[q]))
     level = [0] * len(names)
     for q in vass.initial:
         level[index[q]] = 1 << (source.x * w + source.y)

@@ -177,7 +177,6 @@ def _outcome(vass, s, t, cap, bound, budget):
 def test_dense_levels_match_sparse_loop(monkeypatch):
     rng = Random(7)
     letters = [V(x, y) for x in range(-3, 4) for y in range(-3, 4)]
-    letters += [V(31, -1), V(-2, 31), V(10**12, 0), V(0, -10**12)]  # never fire
     budget_outs = reachable = 0
     for _ in range(2000):
         states = ("a", "b", "c", "d")[: rng.randint(1, 4)]

@@ -55,11 +55,10 @@ from .schemes import (
     SlpsMember,
     WitnessResult,
     check_loop_lemma,
-    loop_normalize,
     norm_bound,
     norm_bound_value,
     origin_exponents,
-    shortest_zero_witness,
+    search_cap,
     slps_reach,
     split_lps,
 )

@@ -29,7 +29,7 @@ from .decide import (
 )
 from .errors import ParseError
 from .instances import load_instance
-from .schemes import WitnessResult, norm_bound_value
+from .schemes import WitnessResult, search_cap
 from .shortening import Shortening, shortening_violation
 
 
@@ -250,8 +250,7 @@ def _check_result(result: WitnessResult, instance_file: Optional[str], lineno: i
         if result.max_visited_norm != max(p.norm for p in trace.visited):
             return [f"line {lineno}: stated maxnorm does not match the witness run"]
         return []
-    cap = norm_bound_value(scheme.K + 2, max(scheme.norm, s.norm, t.norm))
-    again = brute_force_oracle(_path_vass(scheme), s, t, cap, budget=2_000_000)
+    again = brute_force_oracle(_path_vass(scheme), s, t, search_cap(scheme, s, t), budget=2_000_000)
     if again.kind != UNREACHABLE_WITHIN_CAP:
         return [f"line {lineno}: re-decision disagrees on reachability"]
     return []

@@ -80,10 +80,7 @@ def _cmd_slps_decide(args, out) -> int:
         raise ParseError("slps-decide needs a simple scheme file with a query line")
     s, t = instance.query
     result = schemes.slps_reach(instance.scheme, s, t)
-    cap = schemes.norm_bound_value(
-        instance.scheme.K + 2, max(instance.scheme.norm, s.norm, t.norm)
-    )
-    print(f"cap: {cap}", file=out)
+    print(f"cap: {schemes.search_cap(instance.scheme, s, t)}", file=out)
     print(certificates.serialize_result(result), file=out)
     if not result.reachable:
         print("kind=Unreachable", file=out)
@@ -204,15 +201,15 @@ def _report_thm10_margin(args, out) -> None:
     from random import Random
 
     rng = Random(args.seed)
+    origin = Configuration(0, 0)
     observed = 0
     bound = 0
     for _ in range(min(args.iters, 50)):
         scheme = fuzzing.TARGETS["thm10"].generate(rng)
-        witness = schemes.shortest_zero_witness(scheme, budget=500_000)
-        if witness is None:
+        result = schemes.slps_reach(scheme, origin, origin, budget=500_000)
+        if not result.reachable:
             continue
-        trace = run(instantiate(scheme, witness), Configuration(0, 0))
-        observed = max(observed, max(p.norm for p in trace.visited))
+        observed = max(observed, result.max_visited_norm)
         bound = max(bound, schemes.norm_bound(scheme))
     print(f"fuzz: max observed visited norm {observed} vs bound {bound}", file=out)
 

@@ -151,10 +151,6 @@ class Vass:
                 raise ValueError(f"state {q} not declared")
 
     @property
-    def alphabet(self) -> frozenset[PlaneVector]:
-        return frozenset(v for _, v, _ in self.edges)
-
-    @property
     def norm(self) -> int:
         return max((v.norm for _, v, _ in self.edges), default=0)
 

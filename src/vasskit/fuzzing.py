@@ -11,12 +11,11 @@ of the violated property.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Optional
 
-from . import cones, decide, schemes, shortening
+from . import certificates, cones, decide, schemes, shortening
 from .core import (
     Configuration,
     Lps,
@@ -31,7 +30,7 @@ from .core import (
 )
 from .errors import BudgetExceededError, PreconditionError, VasskitError
 
-INJECT_ENV = "VASSKIT_INJECT_FAILURE"
+ORIGIN = Configuration(0, 0)
 
 
 @dataclass(frozen=True)
@@ -517,70 +516,34 @@ def _gen_thm10(rng: Random):
             [rng.choice(pool) for _ in range(k + 1)], [rng.choice(pool) for _ in range(k)]
         )
         try:
-            if schemes.shortest_zero_witness(scheme, budget=200_000) is not None:
+            if schemes.slps_reach(scheme, ORIGIN, ORIGIN, budget=200_000).reachable:
                 return scheme
         except BudgetExceededError:
             continue
     return slps_of([ZERO, ZERO], [PlaneVector(0, 1)])
 
 
-def _word_oracle_zero_witness_length(scheme: Slps, cap: int, budget: int) -> Optional[int]:
-    """Word-level oracle: expand one concrete letter per level, with
-    free moves past unused cycles folded into a closure step."""
-    items: list[tuple] = [("L", scheme.alpha_vec(0))]
-    for i in range(scheme.K):
-        items += [("C", scheme.beta_vec(i)), ("L", scheme.alpha_vec(i + 1))]
-
-    def closure(states):
-        out = set(states)
-        stack = list(states)
-        while stack:
-            pos, x, y = stack.pop()
-            if pos < len(items) and items[pos][0] == "C":
-                nxt = (pos + 1, x, y)
-                if nxt not in out:
-                    out.add(nxt)
-                    stack.append(nxt)
-        return out
-
-    level = closure({(0, 0, 0)})
-    seen = set(level)
-    explored = 0
-    for length in range(budget):
-        if (len(items), 0, 0) in level:
-            return length
-        explored += len(level)
-        if explored > budget or not level:
-            return None
-        nxt = set()
-        for pos, x, y in level:
-            if pos >= len(items):
-                continue
-            kind, vec = items[pos][0], items[pos][1]
-            target = (pos if kind == "C" else pos + 1, x + vec.x, y + vec.y)
-            if 0 <= target[1] <= cap and 0 <= target[2] <= cap and target not in seen:
-                nxt.add(target)
-        nxt = closure(nxt)
-        seen |= nxt
-        level = nxt
-    return None
-
-
 def _check_thm10(scheme) -> Optional[str]:
-    witness = schemes.shortest_zero_witness(scheme, budget=500_000)
-    if witness is None:
+    # slps_reach re-runs its witness and raises InternalDefectError on a bad one
+    result = schemes.slps_reach(scheme, ORIGIN, ORIGIN, budget=500_000)
+    if not result.reachable:
         return "witness vanished on re-search"
     bound = schemes.norm_bound(scheme)
-    word = instantiate(scheme, witness)
-    trace = run(word, Configuration(0, 0))
-    if not trace.admissible or not trace.target.is_zero():
-        return "shortest witness fails to run from zero back to zero"
-    peak = max(p.norm for p in trace.visited)
+    peak = result.max_visited_norm
     if peak > bound:
         return f"visited norm {peak} exceeds the bound {bound}"
-    oracle_len = _word_oracle_zero_witness_length(scheme, cap=peak + 40, budget=500_000)
-    if oracle_len is not None and oracle_len != len(word):
-        return f"length {len(word)} differs from word-level oracle {oracle_len}"
+    length = len(instantiate(scheme, result.exponents))
+    # the verifier's path automaton and oracle share no code with the search
+    try:
+        oracle = decide.brute_force_oracle(
+            certificates._path_vass(scheme), ORIGIN, ORIGIN, peak + 40, budget=500_000
+        )
+    except BudgetExceededError:
+        return None
+    if oracle.kind != decide.REACHABLE:
+        return f"brute-force oracle finds no 0 -> 0 path within norm {peak + 40}"
+    if oracle.length != length:
+        return f"length {length} differs from the brute-force oracle's {oracle.length}"
     return None
 
 
@@ -903,24 +866,16 @@ def run_target(name: str, iterations: int, seed: int) -> FuzzReport:
     target = TARGETS[name]
     rng = Random(seed)
     failures = []
-    injected = os.environ.get(INJECT_ENV) == name
-
-    def checked(case):
-        result = target.check(case)
-        if result is None and injected:
-            return "injected failure (test hook)"
-        return result
-
     for i in range(iterations):
         case = target.generate(rng)
-        violation = checked(case)
+        violation = target.check(case)
         if violation is not None:
             failures.append(
                 FuzzFailure(
                     iteration=i,
                     violation=violation,
                     case=case,
-                    minimized=minimize(target, case, checked),
+                    minimized=minimize(target, case, target.check),
                 )
             )
             if len(failures) >= 3:

@@ -99,15 +99,10 @@ def _parse_vass(body) -> Instance:
             query = _parse_query(rest, lineno)
         else:
             raise ParseError(f"unknown directive {key!r}", lineno)
-    declared = set(states)
-    for p, _, q in edges:
-        for st in (p, q):
-            if st not in declared:
-                raise ParseError(f"undeclared state {st!r} in edge")
-    for st in init | final:
-        if st not in declared:
-            raise ParseError(f"undeclared state {st!r}")
-    vass = Vass(tuple(states), tuple(edges), frozenset(init), frozenset(final))
+    try:
+        vass = Vass(tuple(states), tuple(edges), frozenset(init), frozenset(final))
+    except ValueError as exc:
+        raise ParseError(str(exc))
     return Instance(kind="vass", vass=vass, query=query)
 
 

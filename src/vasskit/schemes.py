@@ -24,7 +24,6 @@ from .core import (
     SchemePath,
     Slps,
     Vass,
-    Word,
     ZERO,
     effect,
     instantiate,
@@ -32,30 +31,6 @@ from .core import (
 )
 from .decide import decide_capped_bfs
 from .errors import InternalDefectError, PreconditionError
-
-
-def loop_normalize(scheme: Lps) -> Lps:
-    """Replace every starred cycle by its effect vector, flanked by one
-    unrolled copy of the cycle on each side.
-
-    Sound only when every cycle is meant to be used at least twice: m
-    repetitions of the effect letter stand for m+2 repetitions of the
-    original cycle, and the two runs are admissible for exactly the same
-    sources (see check_loop_lemma).
-    """
-    k = scheme.K
-    if k == 0:
-        return scheme
-    alphas: list[Word] = []
-    for i in range(k + 1):
-        word = scheme.alphas[i]
-        if i > 0:
-            word = scheme.betas[i - 1] + word
-        if i < k:
-            word = word + scheme.betas[i]
-        alphas.append(word)
-    betas = tuple((effect(b),) for b in scheme.betas)
-    return Lps(tuple(alphas), betas)
 
 
 def _tuple_add(a: tuple, b: tuple) -> tuple:
@@ -108,7 +83,6 @@ class SlpsMember:
 
 @dataclass(frozen=True)
 class SlpsFamily:
-    origin: Lps
     members: tuple[SlpsMember, ...]
 
 
@@ -158,7 +132,7 @@ def split_lps(scheme: Lps) -> SlpsFamily:
             groups[-1].extend(scheme.alphas[i + 1])
         simple, origins = _assemble_simple(groups, cycles)
         members.append(SlpsMember(scheme=simple, profile=profile, cycle_origin=origins))
-    return SlpsFamily(origin=scheme, members=tuple(members))
+    return SlpsFamily(members=tuple(members))
 
 
 def origin_exponents(member: SlpsMember, exponents: SchemePath, origin_cycles: int) -> SchemePath:
@@ -208,19 +182,14 @@ def _path_automaton(scheme: Slps) -> Vass:
     return Vass(states, tuple(edges), frozenset({states[0]}), frozenset({states[-1]}))
 
 
-def _shortest_path(
-    scheme: Slps, source: Configuration, target: Configuration, cap: int, budget: int
-) -> Optional[SchemePath]:
-    """Cycle exponents of a shortest admissible source -> target path of
-    the scheme with every visited norm at most ``cap``, or None: the
-    kernel's witness spends exponent n_i + 1 states on q_(i+1)."""
-    verdict = decide_capped_bfs(_path_automaton(scheme), source, target, cap, budget=budget)
-    if verdict.states is None:
-        return None
-    return tuple(verdict.states.count(f"q{i + 1}") - 1 for i in range(scheme.K))
-
-
 DEFAULT_SEARCH_BUDGET = 5_000_000
+
+
+def search_cap(scheme: Slps, source: Configuration, target: Configuration) -> int:
+    """The explicit norm cap of a simple-scheme query: if an admissible
+    source -> target path exists, one exists whose visited norms all stay
+    within it."""
+    return norm_bound_value(scheme.K + 2, max(scheme.norm, source.norm, target.norm))
 
 
 def slps_reach(
@@ -229,15 +198,17 @@ def slps_reach(
     """Complete reachability decision for a simple scheme.
 
     Runs the capped BFS kernel on the scheme's path automaton from source
-    to target.  An admissible path, if one exists, exists within the
-    explicit norm cap over the scheme and both endpoints, so a negative
-    answer is unconditional.  Raises BudgetExceededError once more than
+    to target at ``search_cap``, so a negative answer is unconditional
+    and a positive one is a shortest admissible path within that cap.
+    The kernel's witness spends n_i + 1 states on q_(i+1), which gives
+    cycle exponent n_i.  Raises BudgetExceededError once more than
     ``budget`` automaton states have been expanded.
     """
-    cap = norm_bound_value(scheme.K + 2, max(scheme.norm, source.norm, target.norm))
-    exponents = _shortest_path(scheme, source, target, cap, budget)
-    if exponents is None:
+    cap = search_cap(scheme, source, target)
+    verdict = decide_capped_bfs(_path_automaton(scheme), source, target, cap, budget=budget)
+    if verdict.states is None:
         return WitnessResult(reachable=False)
+    exponents = tuple(verdict.states.count(f"q{i + 1}") - 1 for i in range(scheme.K))
     trace = run(instantiate(scheme, exponents), source)
     if not trace.admissible or trace.target != target.to_vector():
         raise InternalDefectError("search produced an invalid witness")
@@ -247,11 +218,3 @@ def slps_reach(
         exponents=exponents,
         max_visited_norm=max(p.norm for p in trace.visited),
     )
-
-
-def shortest_zero_witness(
-    scheme: Slps, budget: int = DEFAULT_SEARCH_BUDGET
-) -> Optional[SchemePath]:
-    """A minimum-length admissible 0 -> 0 path of the scheme, or None."""
-    origin = Configuration(0, 0)
-    return _shortest_path(scheme, origin, origin, norm_bound(scheme), budget)

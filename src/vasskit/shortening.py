@@ -68,10 +68,9 @@ def shortening_violation(sh: Shortening) -> Optional[str]:
 
 @dataclass(frozen=True)
 class ShorteningFamily:
-    """Shortenings by n*gamma*direction for n = 1..N."""
+    """Shortenings by n*gamma times the operation's direction, n = 1..N."""
 
     gamma: int
-    direction: PlaneVector
     members: dict[int, Shortening]
 
 
@@ -218,7 +217,7 @@ def _family(scheme, original, source, gamma, direction, deletions, count) -> Sho
     for n in range(1, count + 1):
         reduced = _apply_deletions(original, deletions, n)
         members[n] = _certified(scheme, original, reduced, direction.scale(n * gamma), source)
-    return ShorteningFamily(gamma=gamma, direction=direction, members=members)
+    return ShorteningFamily(gamma=gamma, members=members)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import CERTIFIED, GOLDENS_DIR, golden_argv
 from vasskit import (
+    BudgetExceededError,
     Configuration,
     ZERO,
     cli,
@@ -89,20 +90,21 @@ def test_acceptance_3_shortening_suite(capsys):
 
 def test_acceptance_4_norm_bound_suite(capsys):
     rng = Random(104)
+    origin = Configuration(0, 0)
     violations = []
     produced = 0
     observed = 0
     while produced < 200:
         scheme, _ = fuzzing._gen_slps(rng, max_cycles=3, max_norm=2, max_exp=0)
         try:
-            witness = schemes.shortest_zero_witness(scheme, budget=60_000)
-        except Exception:
+            witness = schemes.slps_reach(scheme, origin, origin, budget=60_000).exponents
+        except BudgetExceededError:
             continue
         if witness is None:
             continue
         produced += 1
         bound = schemes.norm_bound(scheme)
-        trace = run(instantiate(scheme, witness), Configuration(0, 0))
+        trace = run(instantiate(scheme, witness), origin)
         peak = max(p.norm for p in trace.visited)
         observed = max(observed, peak)
         if not trace.admissible or not trace.target.is_zero():

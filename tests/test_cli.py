@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, output stability, verification."""
 
+import dataclasses
 import io
 import os
 import subprocess
 import sys
 
 from conftest import GOLDENS_DIR, golden_argv
-from vasskit import cli, decide, schemes
+from vasskit import cli, decide, fuzzing, schemes
 
 LOOP_TEXT = "vass\nstates a\ninit a\nfinal a\nedge a a -1 1\nquery 2 0 -> 0 2\n"
 
@@ -116,7 +117,8 @@ def test_fuzz_clean_run(tmp_path, capsys, monkeypatch):
 
 def test_fuzz_injection_hook(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("VASSKIT_INJECT_FAILURE", "lemma1")
+    injected = dataclasses.replace(fuzzing.TARGETS["lemma1"], check=lambda case: "injected failure")
+    monkeypatch.setitem(fuzzing.TARGETS, "lemma1", injected)
     repro = tmp_path / "repro.txt"
     code, out = run_cli(
         ["fuzz", "lemma1", "--iters", "5", "--seed", "5", "--repro", str(repro)], capsys

@@ -18,12 +18,11 @@ from vasskit import (
     check_loop_lemma,
     effect,
     instantiate,
-    loop_normalize,
     norm_bound,
     norm_bound_value,
     origin_exponents,
     run,
-    shortest_zero_witness,
+    search_cap,
     slps_of,
     slps_reach,
     split_lps,
@@ -31,30 +30,8 @@ from vasskit import (
 from vasskit import certificates, schemes
 
 V = PlaneVector
+O = Configuration(0, 0)
 UP = slps_of([ZERO, ZERO], [V(0, 1)])
-
-
-def test_loop_normalize():
-    scheme = Lps(((), ()), ((V(0, 1), V(0, -1)),))
-    normalized = loop_normalize(scheme)
-    assert normalized.betas == ((V(0, 0),),)  # cycle replaced by its effect
-    assert normalized.alphas[0] == (V(0, 1), V(0, -1))
-    assert normalized.alphas[1] == (V(0, 1), V(0, -1))
-    mixed = Lps(((), ()), ((V(1, -2), V(0, 1)),))
-    assert loop_normalize(mixed).betas == ((V(1, -1),),)
-
-
-def test_loop_normalize_relation_on_samples():
-    scheme = Lps(((), ()), ((V(1, -2), V(0, 1)),))
-    normalized = loop_normalize(scheme)
-    for m in range(4):
-        for sy in range(7):
-            s = (0, sy)
-            original = run(instantiate_lps(scheme, (m + 2,)), Configuration(*s))
-            flanked = run(instantiate_lps(normalized, (m,)), Configuration(*s))
-            assert original.admissible == flanked.admissible
-            if original.admissible:
-                assert original.target == flanked.target
 
 
 def instantiate_lps(scheme: Lps, reps):
@@ -110,6 +87,7 @@ def test_norm_bound_value():
     assert norm_bound_value(3, 0) == 0
     assert norm_bound_value(2, 2) == (5829 * 2 * 2**15 + 1) // 2
     assert norm_bound(UP) == 2915
+    assert search_cap(UP, O, Configuration(0, 3)) == norm_bound_value(3, 3)
 
 
 def test_slps_reach_examples():
@@ -151,12 +129,12 @@ def test_slps_reach_budget_is_distinct():
 
 def test_shortest_zero_witness():
     balance = slps_of([ZERO, ZERO, ZERO], [V(1, -1), V(-1, 1)])
-    witness = shortest_zero_witness(balance)
+    witness = slps_reach(balance, O, O).exponents
     assert witness == (0, 0)  # the empty-cycle path already returns to zero
     forced_up = slps_of([V(0, 1), ZERO], [V(0, 1)])
-    assert shortest_zero_witness(forced_up) is None
+    assert not slps_reach(forced_up, O, O).reachable
     round_trip = slps_of([V(0, 2), ZERO], [V(0, -1)])
-    assert shortest_zero_witness(round_trip) == (2,)
+    assert slps_reach(round_trip, O, O).exponents == (2,)
 
 
 def test_witness_tie_breaks_pinned():
@@ -165,7 +143,7 @@ def test_witness_tie_breaks_pinned():
     scheme = slps_of([V(-1, -1), V(2, 2), V(-1, 0)], [V(0, -2), V(0, -2)])
     assert slps_reach(scheme, Configuration(3, 3), Configuration(3, 2)).exponents == (1, 0)
     scheme = slps_of([V(2, 0), V(-2, 2), ZERO, V(-1, -2)], [V(1, 0), V(1, 0), V(0, 1)])
-    assert shortest_zero_witness(scheme) == (1, 0, 0)
+    assert slps_reach(scheme, O, O).exponents == (1, 0, 0)
 
 
 def test_slps_reach_budget_message():
@@ -211,15 +189,17 @@ def test_slps_reach_matches_oracle_on_path_automaton():
         trace = run(instantiate(scheme, [rng.randint(0, 3) for _ in range(k)]), s)
         if rng.random() < 0.5 and trace.admissible:
             t = Configuration(trace.target.x, trace.target.y)  # reachable by construction
-        cap = norm_bound_value(k + 2, max(scheme.norm, s.norm, t.norm))
-        try:
-            result = slps_reach(scheme, s, t, budget=2_000)
-            oracle = brute_force_oracle(certificates._path_vass(scheme), s, t, cap, budget=4_000)
-        except BudgetExceededError:
-            continue
-        compared += 1
-        assert result.reachable == (oracle.kind == REACHABLE)
-        if result.reachable:
-            reachable += 1
-            assert k + 1 + sum(result.exponents) == oracle.length
-    assert compared >= 300 and reachable >= 100
+        for s, t in ((s, t), (O, O)):  # the drawn query, then origin -> origin
+            try:
+                result = slps_reach(scheme, s, t, budget=2_000)
+                oracle = brute_force_oracle(
+                    certificates._path_vass(scheme), s, t, search_cap(scheme, s, t), budget=4_000
+                )
+            except BudgetExceededError:
+                continue
+            compared += 1
+            assert result.reachable == (oracle.kind == REACHABLE)
+            if result.reachable:
+                reachable += 1
+                assert k + 1 + sum(result.exponents) == oracle.length
+    assert compared >= 600 and reachable >= 200

@@ -51,7 +51,6 @@ from .errors import (
 )
 from .instances import Instance, load_instance, parse_instance, serialize_instance
 from .schemes import (
-    SlpsFamily,
     SlpsMember,
     WitnessResult,
     check_loop_lemma,

@@ -28,7 +28,7 @@ from .decide import (
     REACHABLE, UNREACHABLE_WITHIN_CAP, Verdict, brute_force_oracle, witness_violation,
 )
 from .errors import ParseError
-from .instances import load_instance
+from .instances import load_instance, parse_pair
 from .schemes import WitnessResult, search_cap
 from .shortening import Shortening, shortening_violation
 
@@ -47,13 +47,8 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok != "")
 
 
-def _vector(text: str) -> PlaneVector:
-    x, y = text.split(",")
-    return PlaneVector(int(x), int(y))
-
-
-def _word(text: str) -> Word:
-    return tuple(_vector(tok) for tok in text.split(";") if tok != "")
+def _word(text: str, lineno: Optional[int]) -> Word:
+    return tuple(parse_pair(tok, lineno) for tok in text.split(";") if tok != "")
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +77,12 @@ def serialize_shortening(sh: Shortening, scheme_file: str) -> str:
 def parse_shortening(line: str, lineno: Optional[int] = None) -> ShorteningCert:
     fields = _fields(line, lineno)
     try:
-        src = _vector(fields["source"])
+        src = parse_pair(fields["source"], lineno)
         return ShorteningCert(
             scheme_file=fields["scheme"],
             original=_int_list(fields["original"]),
             reduced=_int_list(fields["reduced"]),
-            delta=_vector(fields["delta"]),
+            delta=parse_pair(fields["delta"], lineno),
             source=Configuration(src.x, src.y),
         )
     except (KeyError, ValueError) as exc:
@@ -118,7 +113,7 @@ def parse_verdict(line: str, lineno: Optional[int] = None) -> Verdict:
             kind=fields["kind"],
             cap=int(fields["cap"]),
             bound=int(fields["bound"]) if "bound" in fields else None,
-            witness=_word(fields["word"]) if "word" in fields else None,
+            witness=_word(fields["word"], lineno) if "word" in fields else None,
             states=tuple(fields["states"].split(",")) if "states" in fields else None,
             length=int(fields["length"]) if "length" in fields else None,
         )

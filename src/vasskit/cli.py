@@ -16,23 +16,15 @@ import sys
 from typing import Optional
 
 from . import certificates, decide, fuzzing, schemes, shortening
-from .core import Configuration, PlaneVector, instantiate, run
+from .core import Configuration, instantiate, run
 from .errors import BudgetExceededError, ParseError, PreconditionError, VasskitError
-from .instances import Instance, load_instance, serialize_instance
+from .instances import Instance, load_instance, parse_pair, serialize_instance
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_DEFECT = 4
-
-
-def _parse_vector(text: str) -> PlaneVector:
-    try:
-        x, y = text.split(",")
-        return PlaneVector(int(x), int(y))
-    except ValueError:
-        raise ParseError(f"expected x,y pair, got {text!r}")
 
 
 def _print_trace(word, source: Configuration, out) -> None:
@@ -91,10 +83,6 @@ def _cmd_slps_decide(args, out) -> int:
     return EXIT_OK if result.reachable else EXIT_NEGATIVE
 
 
-def _members(family: shortening.ShorteningFamily) -> list[shortening.Shortening]:
-    return [family.members[n] for n in sorted(family.members)]
-
-
 def _cmd_shorten(args, out) -> int:
     instance = load_instance(args.file)
     if instance.kind != "slps" or instance.exponents is None or instance.query is None:
@@ -103,38 +91,36 @@ def _cmd_shorten(args, out) -> int:
     source = instance.query[0]
     k = args.cycle_cap if args.cycle_cap is not None else scheme.K
     header: list[str] = []
+    family: Optional[shortening.ShorteningFamily] = None
     if args.op == "cut":
         if args.direction is None:
             raise ParseError("--direction is required for op cut")
         family = shortening.cut_by_vector(
-            scheme, exps, source, args.count, _parse_vector(args.direction)
+            scheme, exps, source, args.count, parse_pair(args.direction)
         )
-        members = _members(family)
     elif args.op == "close-away":
         family = shortening.shorten_close_away(scheme, exps, source, args.corridor, k)
-        members = _members(family)
     elif args.op == "away-both":
         family = shortening.shorten_away_both(scheme, exps, source, args.count, k)
-        members = _members(family)
     elif args.op == "away-other":
         result = shortening.shorten_away_other(
             scheme, exps, source, args.corridor, args.count, k
         )
+        family = result.family
         if result.case == 1:
             header = ["case: 1"]
-            members = _members(result.family)
         else:
             header = [f"case: 2 vector={result.vector.x},{result.vector.y}"]
-            members = []
     elif args.op == "one-visit":
         if args.split is None:
             raise ParseError("--split is required for op one-visit")
         family = shortening.shorten_one_visit(
             scheme, exps, source, args.split, args.corridor, args.count, k
         )
-        members = _members(family)
-    else:  # far
+    if args.op == "far":
         members = [shortening.shorten_far(scheme, exps, source, k)]
+    else:  # a family's members are keyed n = 1..N in order
+        members = list(family.members.values()) if family is not None else []
     rel = os.path.basename(args.file)
     for line in header + [certificates.serialize_shortening(m, rel) for m in members]:
         print(line, file=out)
@@ -152,9 +138,9 @@ def _cmd_flatten(args, out) -> int:
     instance = load_instance(args.file)
     if instance.kind != "lps":
         raise ParseError("flatten needs a general scheme file")
-    family = schemes.split_lps(instance.scheme)
-    print(f"members: {len(family.members)}", file=out)
-    for member in family.members:
+    members = schemes.split_lps(instance.scheme)
+    print(f"members: {len(members)}", file=out)
+    for member in members:
         profile = ",".join(str(u) for u in member.profile)
         print(f"# member profile={profile}", file=out)
         print(serialize_instance(Instance(kind="slps", scheme=member.scheme)), end="", file=out)
@@ -181,7 +167,7 @@ def _cmd_fuzz(args, out) -> int:
         file=out,
     )
     if args.target == "thm10" and not report.failures:
-        _report_thm10_margin(args, out)
+        _report_thm10_margin(report.cases[:50], out)
     if not report.failures:
         return EXIT_OK
     repro = args.repro or f"fuzz-{args.target}-repro.txt"
@@ -189,7 +175,7 @@ def _cmd_fuzz(args, out) -> int:
         for failure in report.failures:
             fh.write(f"iteration: {failure.iteration}\n")
             fh.write(f"violation: {failure.violation}\n")
-            fh.write(f"case: {failure.case!r}\n")
+            fh.write(f"case: {report.cases[failure.iteration]!r}\n")
             fh.write(f"minimized: {failure.minimized!r}\n")
     for failure in report.failures:
         print(f"fuzz: iteration {failure.iteration}: {failure.violation}", file=out)
@@ -197,15 +183,10 @@ def _cmd_fuzz(args, out) -> int:
     return EXIT_NEGATIVE
 
 
-def _report_thm10_margin(args, out) -> None:
-    from random import Random
-
-    rng = Random(args.seed)
+def _report_thm10_margin(cases, out) -> None:
     origin = Configuration(0, 0)
-    observed = 0
-    bound = 0
-    for _ in range(min(args.iters, 50)):
-        scheme = fuzzing.TARGETS["thm10"].generate(rng)
+    observed = bound = 0
+    for scheme in cases:
         result = schemes.slps_reach(scheme, origin, origin, budget=500_000)
         if not result.reachable:
             continue

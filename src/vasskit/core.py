@@ -11,9 +11,9 @@ single letter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 
 
 @dataclass(frozen=True, order=True)
@@ -99,15 +99,11 @@ class Run:
     """The visited-point sequence of a word executed from a source.
 
     ``visited`` has one point per prefix, starting with the source itself;
-    points may leave N^2, in which case ``admissible`` is False and
-    ``first_violation`` indexes the earliest point with a negative
-    coordinate.
+    points may leave N^2, in which case ``admissible`` is False.
     """
 
-    source: Configuration
     visited: tuple[PlaneVector, ...]
     admissible: bool
-    first_violation: Optional[int]
 
     @property
     def target(self) -> PlaneVector:
@@ -118,14 +114,14 @@ def run(word: Word, source: Configuration) -> Run:
     """Execute ``word`` from ``source``, recording every visited point."""
     x, y = source.x, source.y
     visited = [PlaneVector(x, y)]
-    first_violation = None
-    for i, v in enumerate(word):
+    admissible = True
+    for v in word:
         x += v.x
         y += v.y
         visited.append(PlaneVector(x, y))
-        if first_violation is None and (x < 0 or y < 0):
-            first_violation = i + 1
-    return Run(source, tuple(visited), first_violation is None, first_violation)
+        if x < 0 or y < 0:
+            admissible = False
+    return Run(tuple(visited), admissible)
 
 
 @dataclass(frozen=True)
@@ -221,8 +217,17 @@ def slps_of(alphas: Iterable[PlaneVector], betas: Iterable[PlaneVector]) -> Slps
 SchemePath = tuple[int, ...]
 
 
+# the longest word ``instantiate`` builds (exponents come from input files);
+# at least schemes.DEFAULT_SEARCH_BUDGET, which bounds every slps_reach witness
+MAX_PATH_LENGTH = 5_000_000
+
+
 def instantiate(scheme: Lps, exponents: SchemePath) -> Word:
-    """Expand a scheme path into the concrete word a0 b1^n1 a1 ... bK^nK aK."""
+    """Expand a scheme path into the concrete word a0 b1^n1 a1 ... bK^nK aK.
+
+    Raises BudgetExceededError, before building anything, for a word
+    longer than MAX_PATH_LENGTH letters.
+    """
     if len(exponents) != scheme.K:
         raise PreconditionError(
             f"scheme has {scheme.K} cycles but {len(exponents)} exponents were given"
@@ -230,6 +235,9 @@ def instantiate(scheme: Lps, exponents: SchemePath) -> Word:
     for n in exponents:
         if n < 0:
             raise PreconditionError(f"exponents must be non-negative, got {n}")
+    length = path_length(scheme, exponents)
+    if length > MAX_PATH_LENGTH:
+        raise BudgetExceededError(f"path of {length} letters exceeds the limit of {MAX_PATH_LENGTH}")
     letters: list[PlaneVector] = list(scheme.alphas[0])
     for i, n in enumerate(exponents):
         letters.extend(scheme.betas[i] * n)

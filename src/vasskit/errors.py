@@ -16,17 +16,7 @@ class ParseError(VasskitError):
 
 
 class PreconditionError(VasskitError):
-    """An operation was called outside its stated precondition.
-
-    ``point`` carries the offending visited point for margin/corridor
-    violations, when one exists.
-    """
-
-    def __init__(self, message: str, point=None):
-        self.point = point
-        if point is not None:
-            message = f"{message} (offending point {point})"
-        super().__init__(message)
+    """An operation was called outside its stated precondition."""
 
 
 class BudgetExceededError(VasskitError):

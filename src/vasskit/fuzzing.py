@@ -35,7 +35,6 @@ ORIGIN = Configuration(0, 0)
 
 @dataclass(frozen=True)
 class FuzzTarget:
-    name: str
     generate: Callable[[Random], object]
     check: Callable[[object], Optional[str]]
     shrink: Optional[Callable[[object], Iterable[object]]] = None
@@ -45,16 +44,19 @@ class FuzzTarget:
 class FuzzFailure:
     iteration: int
     violation: str
-    case: object
     minimized: object
 
 
 @dataclass(frozen=True)
 class FuzzReport:
+    """``cases`` holds every generated case in iteration order, so
+    ``cases[failure.iteration]`` is a failure's case."""
+
     target: str
     iterations: int
     seed: int
     failures: tuple[FuzzFailure, ...]
+    cases: tuple[object, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -673,13 +675,12 @@ def path_profile(scheme: Lps, reps) -> tuple[int, PlaneVector, PlaneVector]:
     return ln, PlaneVector(ex, ey), PlaneVector(dx, dy)
 
 
-def _compress(states, max_len: int) -> dict[tuple, list]:
-    """Per effect, the Pareto-maximal drop pairs among states within the
-    length bound; enough to answer every admissibility query."""
-    by_eff: dict[tuple, list] = {}
-    for (ln, ex, ey, dx, dy) in states:
-        if ln > max_len:
-            continue
+def _compress(states, by_eff: Optional[dict[tuple, list]] = None) -> dict[tuple, list]:
+    """Per effect, the Pareto-maximal drop pairs among ``states``; enough
+    to answer every admissibility query.  Given ``by_eff``, the fronts of
+    earlier states, it adds ``states`` to them in place."""
+    by_eff = {} if by_eff is None else by_eff
+    for (_ln, ex, ey, dx, dy) in states:
         drops = by_eff.setdefault((ex, ey), [])
         if any(qx >= dx and qy >= dy for qx, qy in drops):
             continue
@@ -734,19 +735,18 @@ def _lost_target(origin, union) -> Optional[tuple[tuple[int, int], tuple[int, in
 
 
 def _check_thm12(scheme: Lps) -> Optional[str]:
-    family = schemes.split_lps(scheme)
+    members = schemes.split_lps(scheme)
     size = max(scheme.length, 1)
     norm = scheme.norm
-    for member in family.members:
+    for member in members:
         if member.scheme.length > 4 * size:
             return f"member length {member.scheme.length} exceeds 4*|L| = {4 * size}"
         if member.scheme.norm > max(2 * norm * size, norm):
             return f"member norm {member.scheme.norm} exceeds 2*norm*|L|"
     max_len = 40
-    origin_states = bounded_relation(_lps_blocks(scheme), max_len)
-    origin_compressed = _compress(origin_states, max_len)
+    origin_compressed = _compress(bounded_relation(_lps_blocks(scheme), max_len))
     union_compressed: dict[tuple, list] = {}
-    for member in family.members:
+    for member in members:
         member_states = bounded_relation(_lps_blocks(member.scheme), max_len)
         # every member path must map to a genuine origin path: same
         # effect, same admissibility threshold, boundedly longer
@@ -759,12 +759,7 @@ def _check_thm12(scheme: Lps) -> Optional[str]:
                 return f"profile {member.profile}: origin drop {odrop} != ({dx},{dy})"
             if oln > max(ln, 1) * size:
                 return f"profile {member.profile}: origin length {oln} exceeds |path|*|L|"
-        for eff, drops in _compress(member_states, max_len).items():
-            merged = union_compressed.setdefault(eff, [])
-            for pair in drops:
-                if not any(qx >= pair[0] and qy >= pair[1] for qx, qy in merged):
-                    merged[:] = [q for q in merged if not (pair[0] >= q[0] and pair[1] >= q[1])]
-                    merged.append(pair)
+        _compress(member_states, union_compressed)
     lost = _lost_target(origin_compressed, union_compressed)
     if lost is not None:
         (sx, sy), target = lost
@@ -822,21 +817,21 @@ def _shrink_vector_set(cone_set):
 
 
 TARGETS: dict[str, FuzzTarget] = {
-    "lemma1": FuzzTarget("lemma1", _gen_vector_set, _check_lemma1, _shrink_vector_set),
-    "lemma2": FuzzTarget("lemma2", _gen_vector_set, _check_lemma2, _shrink_vector_set),
-    "lemma3": FuzzTarget("lemma3", _gen_zero_free_set, _check_lemma3, _shrink_vector_set),
-    "lemma4": FuzzTarget("lemma4", _gen_excluding_set, _check_lemma4, _shrink_vector_set),
-    "lemma5": FuzzTarget("lemma5", _gen_lemma5, _check_lemma5),
-    "lemma6": FuzzTarget("lemma6", _gen_lemma6, _check_lemma6),
-    "thm5": FuzzTarget("thm5", _gen_thm5, _check_thm5),
-    "thm6": FuzzTarget("thm6", _gen_thm6, _check_thm6),
-    "thm7": FuzzTarget("thm7", _gen_thm7, _check_thm7),
-    "thm8": FuzzTarget("thm8", _gen_thm8, _check_thm8),
-    "thm9": FuzzTarget("thm9", _gen_thm9, _check_thm9),
-    "thm10": FuzzTarget("thm10", _gen_thm10, _check_thm10),
-    "lemma11": FuzzTarget("lemma11", _gen_lemma11, _check_lemma11),
-    "thm12": FuzzTarget("thm12", _gen_lps, _check_thm12),
-    "decider": FuzzTarget("decider", _gen_decider, _check_decider),
+    "lemma1": FuzzTarget(_gen_vector_set, _check_lemma1, _shrink_vector_set),
+    "lemma2": FuzzTarget(_gen_vector_set, _check_lemma2, _shrink_vector_set),
+    "lemma3": FuzzTarget(_gen_zero_free_set, _check_lemma3, _shrink_vector_set),
+    "lemma4": FuzzTarget(_gen_excluding_set, _check_lemma4, _shrink_vector_set),
+    "lemma5": FuzzTarget(_gen_lemma5, _check_lemma5),
+    "lemma6": FuzzTarget(_gen_lemma6, _check_lemma6),
+    "thm5": FuzzTarget(_gen_thm5, _check_thm5),
+    "thm6": FuzzTarget(_gen_thm6, _check_thm6),
+    "thm7": FuzzTarget(_gen_thm7, _check_thm7),
+    "thm8": FuzzTarget(_gen_thm8, _check_thm8),
+    "thm9": FuzzTarget(_gen_thm9, _check_thm9),
+    "thm10": FuzzTarget(_gen_thm10, _check_thm10),
+    "lemma11": FuzzTarget(_gen_lemma11, _check_lemma11),
+    "thm12": FuzzTarget(_gen_lps, _check_thm12),
+    "decider": FuzzTarget(_gen_decider, _check_decider),
 }
 
 
@@ -866,18 +861,19 @@ def run_target(name: str, iterations: int, seed: int) -> FuzzReport:
     target = TARGETS[name]
     rng = Random(seed)
     failures = []
+    cases = []
     for i in range(iterations):
         case = target.generate(rng)
+        cases.append(case)
         violation = target.check(case)
         if violation is not None:
             failures.append(
                 FuzzFailure(
                     iteration=i,
                     violation=violation,
-                    case=case,
                     minimized=minimize(target, case, target.check),
                 )
             )
             if len(failures) >= 3:
                 break
-    return FuzzReport(target=name, iterations=iterations, seed=seed, failures=tuple(failures))
+    return FuzzReport(name, iterations, seed, tuple(failures), tuple(cases))

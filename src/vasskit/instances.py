@@ -29,21 +29,19 @@ class Instance:
     query: Optional[tuple[Configuration, Configuration]] = None
 
 
-def _int(token: str, line: int) -> int:
+def _int(token: str, line: Optional[int]) -> int:
     try:
         return int(token)
     except ValueError:
         raise ParseError(f"expected an integer, got {token!r}", line)
 
 
-def _pair_list(tokens: list[str], line: int) -> Word:
-    letters = []
-    for tok in tokens:
-        parts = tok.split(",")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ParseError(f"expected an x,y pair, got {tok!r}", line)
-        letters.append(PlaneVector(_int(parts[0], line), _int(parts[1], line)))
-    return tuple(letters)
+def parse_pair(token: str, line: Optional[int] = None) -> PlaneVector:
+    """An ``x,y`` token as a vector; a ParseError names ``line`` when given."""
+    parts = token.split(",")
+    if len(parts) != 2 or not parts[0] or not parts[1]:
+        raise ParseError(f"expected an x,y pair, got {token!r}", line)
+    return PlaneVector(_int(parts[0], line), _int(parts[1], line))
 
 
 def _parse_query(tokens: list[str], line: int) -> tuple[Configuration, Configuration]:
@@ -118,7 +116,7 @@ def _parse_scheme(kind: str, body) -> Instance:
                     raise ParseError(f"{key} in a simple scheme takes exactly one vector: {key} x y", lineno)
                 word: Word = (PlaneVector(_int(rest[0], lineno), _int(rest[1], lineno)),)
             else:
-                word = _pair_list(rest, lineno)
+                word = tuple(parse_pair(tok, lineno) for tok in rest)
                 if key == "cyc" and not word:
                     raise ParseError("cycles must be nonempty", lineno)
             segments.append((key, word, lineno))

@@ -81,11 +81,6 @@ class SlpsMember:
     cycle_origin: tuple[Optional[int], ...]
 
 
-@dataclass(frozen=True)
-class SlpsFamily:
-    members: tuple[SlpsMember, ...]
-
-
 def _assemble_simple(groups: list[list[PlaneVector]], cycles) -> tuple[Slps, tuple]:
     """Turn alternating fixed-letter groups and starred cycles into a
     simple scheme, inserting zero-cycles between extra fixed letters and
@@ -108,7 +103,7 @@ def _assemble_simple(groups: list[list[PlaneVector]], cycles) -> tuple[Slps, tup
     return scheme, tuple(origins)
 
 
-def split_lps(scheme: Lps) -> SlpsFamily:
+def split_lps(scheme: Lps) -> tuple[SlpsMember, ...]:
     """Split a general scheme into simple schemes, one per cycle-usage
     profile (0, 1 or >=2 uses), preserving the union of reachability
     relations."""
@@ -132,7 +127,7 @@ def split_lps(scheme: Lps) -> SlpsFamily:
             groups[-1].extend(scheme.alphas[i + 1])
         simple, origins = _assemble_simple(groups, cycles)
         members.append(SlpsMember(scheme=simple, profile=profile, cycle_origin=origins))
-    return SlpsFamily(members=tuple(members))
+    return tuple(members)
 
 
 def origin_exponents(member: SlpsMember, exponents: SchemePath, origin_cycles: int) -> SchemePath:

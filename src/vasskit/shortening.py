@@ -13,6 +13,7 @@ deletes whole cycle repetitions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,9 +21,9 @@ from .cones import cone_contains, cone_contains_zero, rotate_ccw, zero_combinati
 from .core import (
     Configuration,
     PlaneVector,
+    Run,
     SchemePath,
     Slps,
-    Word,
     ZERO,
     effect,
     instantiate,
@@ -118,13 +119,10 @@ def drift_lower_bound(
 def _tagged_letters(scheme: Slps, exponents: SchemePath):
     """Instantiated letters paired with the index of the cycle each
     repetition came from (None for unstarred letters)."""
-    letters: list[PlaneVector] = [scheme.alpha_vec(0)]
+    letters = instantiate(scheme, exponents)
     tags: list[Optional[int]] = [None]
     for i, n in enumerate(exponents):
-        letters.extend([scheme.beta_vec(i)] * n)
-        tags.extend([i] * n)
-        letters.append(scheme.alpha_vec(i + 1))
-        tags.append(None)
+        tags += [i] * n + [None]
     return letters, tags
 
 
@@ -133,23 +131,10 @@ def _heavy_in(letters, tags, lo: int, hi: int, bound: int):
 
     Returns (tag, vector, count) triples sorted by vector then tag.
     """
-    counts: dict[int, int] = {}
-    for i in range(max(lo, 0), min(hi, len(letters))):
-        tag = tags[i]
-        if tag is not None:
-            counts[tag] = counts.get(tag, 0) + 1
-    heavy = [
-        (tag, letters_vec, count)
-        for tag, count in counts.items()
-        if count >= bound
-        for letters_vec in [_tag_vector(letters, tags, tag)]
-    ]
+    counts = Counter(tag for tag in tags[lo:hi] if tag is not None)
+    heavy = [(tag, letters[tags.index(tag)], n) for tag, n in counts.items() if n >= bound]
     heavy.sort(key=lambda item: (item[1], item[0]))
     return heavy
-
-
-def _tag_vector(letters, tags, tag):
-    return letters[tags.index(tag)]
 
 
 def _find_cut(heavy, c: PlaneVector, coeff_bound: int):
@@ -220,6 +205,38 @@ def _family(scheme, original, source, gamma, direction, deletions, count) -> Sho
     return ShorteningFamily(gamma=gamma, members=members)
 
 
+def _require_count(count: int) -> None:
+    if count < 1:
+        raise PreconditionError(f"count must be at least 1, got {count}")
+
+
+def _run_with_margin(
+    scheme: Slps, exponents: SchemePath, source: Configuration, margin: int
+) -> Run:
+    """The path's run from ``source``, every visited point of which must
+    keep ``margin`` from both axes."""
+    trace = run(instantiate(scheme, exponents), source)
+    for point in trace.visited:
+        if point.x < margin or point.y < margin:
+            raise PreconditionError(f"margin {margin} violated (offending point {point})")
+    return trace
+
+
+def _cut(
+    scheme: Slps, exponents: SchemePath, source: Configuration, count: int, c: PlaneVector
+) -> ShorteningFamily:
+    """The cut of ``cut_by_vector`` once its preconditions hold.  Over the
+    whole path the cycles repeated at least 2*norm^2*count times are
+    exactly those with that exponent, taken in (vector, index) order."""
+    norm = scheme.norm
+    heavy = sorted(
+        ((i, scheme.beta_vec(i), n) for i, n in enumerate(exponents) if n >= 2 * norm**2 * count),
+        key=lambda item: (item[1], item[0]),
+    )
+    gamma, deletions = _find_cut(heavy, c, 2 * norm**2)
+    return _family(scheme, exponents, source, gamma, c, deletions, count)
+
+
 # ---------------------------------------------------------------------------
 # the directional cut and the five shortening operations
 
@@ -230,16 +247,13 @@ def cut_by_vector(
     """Shorten by n*gamma*c for all n = 1..count, given that c lies in the
     cone of cycles repeated at least 2*norm^2*count times and the whole
     run keeps a margin of 6*norm^3*count from both axes."""
+    _require_count(count)
     norm = scheme.norm
     if norm == 0:
         raise PreconditionError("scheme norm must be positive")
     if c.norm > norm:
         raise PreconditionError(f"cut vector {c} has norm above the scheme norm {norm}")
-    word = instantiate(scheme, exponents)
-    margin = 6 * norm**3 * count
-    for point in run(word, source).visited:
-        if point.x < margin or point.y < margin:
-            raise PreconditionError(f"margin {margin} violated", point=point)
+    _run_with_margin(scheme, exponents, source, 6 * norm**3 * count)
     heavy_bound = 2 * norm**2 * count
     heavy_vectors = cycles_repeated_at_least(scheme, exponents, heavy_bound)
     if not heavy_vectors:
@@ -249,10 +263,7 @@ def cut_by_vector(
             raise PreconditionError("cone of repeated cycles does not contain zero")
     elif not cone_contains(heavy_vectors, c):
         raise PreconditionError(f"cone of repeated cycles does not contain {c}")
-    letters, tags = _tagged_letters(scheme, exponents)
-    heavy = _heavy_in(letters, tags, 0, len(letters), heavy_bound)
-    gamma, deletions = _find_cut(heavy, c, 2 * norm**2)
-    return _family(scheme, exponents, source, gamma, c, deletions, count)
+    return _cut(scheme, exponents, source, count, c)
 
 
 def shorten_close_away(
@@ -263,11 +274,12 @@ def shorten_close_away(
     (cycle_cap*corridor + 1) * norm."""
     if scheme.K > cycle_cap:
         raise PreconditionError(f"scheme has {scheme.K} cycles, more than the stated bound {cycle_cap}")
-    word = instantiate(scheme, exponents)
-    trace = run(word, source)
+    trace = run(instantiate(scheme, exponents), source)
     for point in trace.visited:
         if not (0 <= point.x < corridor and point.y >= corridor):
-            raise PreconditionError(f"corridor [0,{corridor}) x [{corridor},inf) violated", point=point)
+            raise PreconditionError(
+                f"corridor [0,{corridor}) x [{corridor},inf) violated (offending point {point})"
+            )
     climb = (trace.target - source.to_vector()).y
     threshold = (cycle_cap * corridor + 1) * scheme.norm
     if climb <= threshold:
@@ -292,17 +304,13 @@ def shorten_away_both(
 ) -> ShorteningFamily:
     """Vertical shortening for a path far from both axes whose effect is
     steeply upward for every slope in [-norm, norm]."""
+    _require_count(count)
     if scheme.K > cycle_cap:
         raise PreconditionError(f"scheme has {scheme.K} cycles, more than the stated bound {cycle_cap}")
     norm = scheme.norm
     if norm == 0:
         raise PreconditionError("scheme norm must be positive")
-    word = instantiate(scheme, exponents)
-    trace = run(word, source)
-    margin = 6 * norm**3 * count
-    for point in trace.visited:
-        if point.x < margin or point.y < margin:
-            raise PreconditionError(f"margin {margin} violated", point=point)
+    trace = _run_with_margin(scheme, exponents, source, 6 * norm**3 * count)
     delta = trace.target - source.to_vector()
     threshold = (4 * cycle_cap * count + 2) * norm**4
     # linear in the slope, so checking the two endpoints is exact
@@ -315,7 +323,7 @@ def shorten_away_both(
     heavy = cycles_repeated_at_least(scheme, exponents, 2 * norm**2 * count)
     if not heavy or not cone_contains(heavy, PlaneVector(0, 1)):
         raise InternalDefectError("(0,1) must lie in the cone of often-repeated cycles")
-    return cut_by_vector(scheme, exponents, source, count, PlaneVector(0, 1))
+    return _cut(scheme, exponents, source, count, PlaneVector(0, 1))
 
 
 @dataclass(frozen=True)
@@ -351,7 +359,9 @@ def _away_other(letters, tags, points, corridor, count, cycle_cap, norm) -> _Awa
         )
     for point in points[1:]:
         if point.x < 0 or point.y < corridor:
-            raise PreconditionError(f"band N x [{corridor},inf) violated after the source", point=point)
+            raise PreconditionError(
+                f"band N x [{corridor},inf) violated after the source (offending point {point})"
+            )
 
     first_return = next(i for i in range(1, len(points)) if points[i].x < corridor)
     t_prime = points[first_return]
@@ -437,8 +447,9 @@ def shorten_away_other(
     """Analyze a path that starts near the bottom of a vertical corridor
     and ends high inside it: either produce vertical shortenings (case 1)
     or exhibit an up-left cycle responsible for the climb (case 2)."""
+    _require_count(count)
     letters, tags = _tagged_letters(scheme, exponents)
-    points = list(run(tuple(letters), source).visited)
+    points = list(run(letters, source).visited)
     outcome = _away_other(letters, tags, points, corridor, count, cycle_cap, scheme.norm)
     if outcome.case == 2:
         return AwayOtherResult(case=2, vector=outcome.vector)
@@ -470,6 +481,7 @@ def shorten_one_visit(
     """Shorten a path that dives from the left wall toward the bottom and
     climbs back up the left side, deleting matched cycle repetitions in
     both halves so the net horizontal effect cancels."""
+    _require_count(count)
     norm = scheme.norm
     if norm == 0:
         raise PreconditionError("scheme norm must be positive")
@@ -482,7 +494,7 @@ def shorten_one_visit(
     letters, tags = _tagged_letters(scheme, exponents)
     if not 0 <= split_index <= len(letters):
         raise PreconditionError(f"split index {split_index} outside the word")
-    points = list(run(tuple(letters), source).visited)
+    points = list(run(letters, source).visited)
     r, s, t = points[0], points[split_index], points[-1]
     if r.x >= corridor:
         raise PreconditionError(f"start {r} not left of the corridor wall {corridor}")
@@ -493,10 +505,10 @@ def shorten_one_visit(
         raise PreconditionError(f"target {t} fails the height conditions (needs y >= {height} and >= {r.y})")
     for point in points[1 : split_index + 1]:
         if point.x < corridor or point.y < 0:
-            raise PreconditionError("descent half leaves the right band", point=point)
+            raise PreconditionError(f"descent half leaves the right band (offending point {point})")
     for point in points[split_index + 1 :]:
         if point.x < 0 or point.y < corridor:
-            raise PreconditionError("ascent half leaves the upper band", point=point)
+            raise PreconditionError(f"ascent half leaves the upper band (offending point {point})")
 
     climb = _away_other(
         letters[split_index:], tags[split_index:], points[split_index:],
@@ -537,12 +549,7 @@ def shorten_far(
     norm = scheme.norm
     if norm == 0:
         raise PreconditionError("scheme norm must be positive")
-    word = instantiate(scheme, exponents)
-    trace = run(word, source)
-    margin = 6 * norm**3
-    for point in trace.visited:
-        if point.x < margin or point.y < margin:
-            raise PreconditionError(f"margin {margin} violated", point=point)
+    trace = _run_with_margin(scheme, exponents, source, 6 * norm**3)
     endpoint_norm = max(source.norm, trace.target.norm)
     # strict bound norm(f) > 3*norm^2*endpoints + 7.5*norm^5*K, doubled to
     # stay in integers
@@ -554,5 +561,4 @@ def shorten_far(
     heavy = cycles_repeated_at_least(scheme, exponents, 2 * norm**2)
     if not heavy or not cone_contains_zero(heavy):
         raise InternalDefectError("far-point cone must contain zero")
-    family = cut_by_vector(scheme, exponents, source, 1, ZERO)
-    return family.members[1]
+    return _cut(scheme, exponents, source, 1, ZERO).members[1]

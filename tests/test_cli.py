@@ -7,7 +7,8 @@ import subprocess
 import sys
 
 from conftest import GOLDENS_DIR, golden_argv
-from vasskit import cli, decide, fuzzing, schemes
+from vasskit import PlaneVector, ZERO, cli, decide, fuzzing, schemes, slps_of
+from vasskit.core import MAX_PATH_LENGTH
 
 LOOP_TEXT = "vass\nstates a\ninit a\nfinal a\nedge a a -1 1\nquery 2 0 -> 0 2\n"
 
@@ -15,6 +16,12 @@ LOOP_TEXT = "vass\nstates a\ninit a\nfinal a\nedge a a -1 1\nquery 2 0 -> 0 2\n"
 def run_cli(argv, capsys):
     code = cli.main(argv)
     return code, capsys.readouterr().out
+
+
+def run_cli_err(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def test_decide_exit_codes(tmp_path, capsys):
@@ -97,6 +104,47 @@ def test_shorten_and_verify(tmp_path, capsys):
     cert.write_text(tampered)
     code, out = run_cli(["verify", str(cert)], capsys)
     assert code == 1
+    cert.write_text(tampered.replace("delta=0,1", "delta=1"))
+    assert run_cli_err(["verify", str(cert)], capsys) == (
+        2, "", "error: line 2: expected an x,y pair, got '1'\n"
+    )
+    assert run_cli_err(["shorten", str(f), "--op", "cut", "--direction", "1"], capsys) == (
+        2, "", "error: expected an x,y pair, got '1'\n"
+    )
+
+
+def test_shorten_count_below_one_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "two.vas"
+    f.write_text(
+        "slps\nseg 0 0\ncyc 0 1\nseg 0 0\ncyc 1 0\nseg 0 0\npath 0 5\nquery 6 6 -> 6 6\n"
+    )
+    away = os.path.join(GOLDENS_DIR, "g18-shorten-away.vas")
+    for argv, count in [
+        (["shorten", str(f), "--op", "cut", "--direction", "0,1", "--count", "0"], 0),
+        (["shorten", str(f), "--op", "cut", "--direction", "0,1", "--count", "-1"], -1),
+        (["shorten", away, "--op", "away-both", "--count", "0"], 0),
+    ]:
+        assert run_cli_err(argv, capsys) == (
+            2, "", f"error: count must be at least 1, got {count}\n"
+        )
+
+
+def test_path_over_the_length_limit_exits_3(tmp_path, capsys):
+    huge = 10**19
+    f = tmp_path / "far.vas"
+    f.write_text(
+        "slps\nseg 0 0\ncyc 0 1\nseg 0 0\ncyc 0 -1\nseg 0 0\n"
+        f"path {huge} 60\nquery 6 6 -> 6 6\n"
+    )
+    cert = tmp_path / "far.cert"
+    cert.write_text(f"instance: far.vas\nresult: reachable=true member=0 exponents={huge},0 maxnorm=0\n")
+    for argv, length in [
+        (["shorten", str(f), "--op", "far"], huge + 63),
+        (["verify", str(cert)], huge + 3),
+    ]:
+        assert run_cli_err(argv, capsys) == (
+            3, "", f"error: path of {length} letters exceeds the limit of {MAX_PATH_LENGTH}\n"
+        )
 
 
 def test_flatten(tmp_path, capsys):
@@ -126,6 +174,24 @@ def test_fuzz_injection_hook(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "injected failure" in out
     assert repro.exists() and "minimized:" in repro.read_text()
+
+
+def test_fuzz_thm10_generates_each_case_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+
+    def generate(rng):
+        calls.append(rng)
+        return slps_of([ZERO, ZERO], [PlaneVector(0, 1)])
+
+    stub = dataclasses.replace(fuzzing.TARGETS["thm10"], generate=generate)
+    monkeypatch.setitem(fuzzing.TARGETS, "thm10", stub)
+    code, out = run_cli(["fuzz", "thm10", "--iters", "3"], capsys)
+    assert (code, len(calls)) == (0, 3)
+    assert out == (
+        "fuzz: target=thm10 iters=3 seed=0 failures=0\n"
+        "fuzz: max observed visited norm 0 vs bound 2915\n"
+    )
 
 
 def test_fuzz_unknown_target(capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 from vasskit import (
+    BudgetExceededError,
     Configuration,
     Lps,
     PlaneVector,
@@ -15,6 +16,7 @@ from vasskit import (
     slps_of,
     word_norm,
 )
+from vasskit import core, schemes
 
 
 def test_vector_algebra():
@@ -40,7 +42,17 @@ def test_effect_examples():
 def test_run_inadmissible_first_violation():
     trace = run((PlaneVector(0, -1),), Configuration(0, 0))
     assert not trace.admissible
-    assert trace.first_violation == 1
+
+
+def test_instantiate_refuses_a_path_over_the_limit(monkeypatch):
+    up = slps_of([ZERO, ZERO], [PlaneVector(0, 1)])
+    with pytest.raises(BudgetExceededError, match=f"path of {10**19 + 2} letters exceeds"):
+        instantiate(up, (10**19,))
+    assert schemes.DEFAULT_SEARCH_BUDGET <= core.MAX_PATH_LENGTH
+    monkeypatch.setattr(core, "MAX_PATH_LENGTH", 5)
+    assert len(instantiate(up, (3,))) == 5
+    with pytest.raises(BudgetExceededError, match="path of 6 letters exceeds the limit of 5"):
+        instantiate(up, (4,))
 
 
 def test_run_round_trip():

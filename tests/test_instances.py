@@ -79,3 +79,5 @@ def test_errors_are_positioned():
         parse_instance("slps\nseg 0 0\ncyc 0 1\nseg 0 0\npath 1 2\n")  # exponent count
     with pytest.raises(ParseError):
         parse_instance("lps\nseg 1,0\ncyc\nseg\n")  # empty cycle
+    with pytest.raises(ParseError, match="line 2: expected an x,y pair, got '1'"):
+        parse_instance("lps\nseg 1\ncyc 1,1\nseg\n")

@@ -60,18 +60,17 @@ def test_split_lps_counts_and_bounds():
         ((V(0, 1),), (V(1, 1),), ()),
         ((V(1, 0),), (V(1, -1), V(-1, 1))),
     )
-    family = split_lps(scheme)
-    assert len(family.members) == 3**scheme.K
+    members = split_lps(scheme)
+    assert len(members) == 3**scheme.K
     size = max(scheme.length, 1)
-    for member in family.members:
+    for member in members:
         assert member.scheme.length <= 4 * size
         assert member.scheme.norm <= 2 * scheme.norm * size
 
 
 def test_split_lps_origin_mapping():
     scheme = Lps(((), ()), ((V(1, -2), V(0, 1)),))
-    family = split_lps(scheme)
-    by_profile = {m.profile: m for m in family.members}
+    by_profile = {m.profile: m for m in split_lps(scheme)}
     member = by_profile[(2,)]
     exps = tuple(3 if origin is not None else 0 for origin in member.cycle_origin)
     reps = origin_exponents(member, exps, scheme.K)

@@ -156,6 +156,21 @@ def test_shorten_far_margin_violation():
         shorten_far(scheme, (40, 40), Configuration(3, 6), 2)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_counts_below_one_are_rejected(count):
+    climb = slps_of([V(0, 1), V(0, 1)], [V(0, 1)])
+    vee = slps_of([V(1, 0), V(-1, 1), V(0, 1)], [V(1, -1), V(-1, 1)])
+    calls = [
+        lambda: cut_by_vector(UP, (3,), Configuration(6, 6), count, V(0, 1)),
+        lambda: shorten_away_both(UP, (8,), Configuration(6, 6), count, 1),
+        lambda: shorten_away_other(climb, (450,), Configuration(3, 7), 8, count, 1),
+        lambda: shorten_one_visit(vee, (700, 700), Configuration(7, 707), 701, 8, count, 2),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match=f"count must be at least 1, got {count}"):
+            call()
+
+
 def test_shortening_violation_catches_tampering():
     family = cut_by_vector(UP, (3,), Configuration(6, 6), 1, V(0, 1))
     good = family.members[1]

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .cones import cone_contains, cone_contains_zero, rotate_ccw, zero_combination
+from .cones import cone_contains, rotate_ccw, zero_combination
 from .core import (
     Configuration,
     PlaneVector,
@@ -31,6 +31,8 @@ from .core import (
     run,
 )
 from .errors import InternalDefectError, PreconditionError
+
+_UP = PlaneVector(0, 1)
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,8 @@ def _find_cut(heavy, c: PlaneVector, coeff_bound: int):
 
     Returns (gamma, deletions) with deletions a list of (cycle tag,
     per-unit count).  Raises InternalDefectError when no decomposition
-    exists within the bound, which the cone preconditions rule out.
+    exists within the bound (an empty ``heavy`` has none), which each
+    operation's preconditions rule out.
     """
     by_vector: dict[PlaneVector, int] = {}
     for tag, vec, _count in heavy:
@@ -151,7 +154,7 @@ def _find_cut(heavy, c: PlaneVector, coeff_bound: int):
             by_vector[vec] = tag
     vectors = sorted(by_vector)
     if c.is_zero():
-        combo = zero_combination(set(vectors))
+        combo = zero_combination(set(vectors)) if vectors else None
         if combo is None:
             raise InternalDefectError("zero cut requested but cone of heavy cycles excludes zero")
         return 1, [(by_vector[v], k) for v, k in combo.terms]
@@ -189,25 +192,36 @@ def _apply_deletions(original: SchemePath, deletions, n: int) -> SchemePath:
     return tuple(reduced)
 
 
-def _certified(scheme, original, reduced, delta, source) -> Shortening:
-    sh = Shortening(scheme, tuple(original), tuple(reduced), delta, source)
-    reason = shortening_violation(sh)
-    if reason is not None:
-        raise InternalDefectError(f"constructed shortening is invalid: {reason}")
-    return sh
-
-
 def _family(scheme, original, source, gamma, direction, deletions, count) -> ShorteningFamily:
     members = {}
     for n in range(1, count + 1):
         reduced = _apply_deletions(original, deletions, n)
-        members[n] = _certified(scheme, original, reduced, direction.scale(n * gamma), source)
+        sh = Shortening(scheme, tuple(original), reduced, direction.scale(n * gamma), source)
+        reason = shortening_violation(sh)
+        if reason is not None:
+            raise InternalDefectError(f"constructed shortening is invalid: {reason}")
+        members[n] = sh
     return ShorteningFamily(gamma=gamma, members=members)
 
 
-def _require_count(count: int) -> None:
+def _checked_norm(scheme: Slps, count: int = 1, cycle_cap: Optional[int] = None) -> int:
+    """The scheme norm, once the checks every operation shares hold, in
+    this order: a count of at least 1, at most ``cycle_cap`` cycles (when
+    stated) and a positive norm."""
     if count < 1:
         raise PreconditionError(f"count must be at least 1, got {count}")
+    if cycle_cap is not None and scheme.K > cycle_cap:
+        raise PreconditionError(f"scheme has {scheme.K} cycles, more than the stated bound {cycle_cap}")
+    if scheme.norm == 0:
+        raise PreconditionError("scheme norm must be positive")
+    return scheme.norm
+
+
+def _require_all(points, inside, what: str) -> None:
+    """Raise PreconditionError naming the first point not ``inside``."""
+    for point in points:
+        if not inside(point):
+            raise PreconditionError(f"{what} (offending point {point})")
 
 
 def _run_with_margin(
@@ -216,9 +230,7 @@ def _run_with_margin(
     """The path's run from ``source``, every visited point of which must
     keep ``margin`` from both axes."""
     trace = run(instantiate(scheme, exponents), source)
-    for point in trace.visited:
-        if point.x < margin or point.y < margin:
-            raise PreconditionError(f"margin {margin} violated (offending point {point})")
+    _require_all(trace.visited, lambda p: min(p.x, p.y) >= margin, f"margin {margin} violated")
     return trace
 
 
@@ -247,10 +259,7 @@ def cut_by_vector(
     """Shorten by n*gamma*c for all n = 1..count, given that c lies in the
     cone of cycles repeated at least 2*norm^2*count times and the whole
     run keeps a margin of 6*norm^3*count from both axes."""
-    _require_count(count)
-    norm = scheme.norm
-    if norm == 0:
-        raise PreconditionError("scheme norm must be positive")
+    norm = _checked_norm(scheme, count)
     if c.norm > norm:
         raise PreconditionError(f"cut vector {c} has norm above the scheme norm {norm}")
     _run_with_margin(scheme, exponents, source, 6 * norm**3 * count)
@@ -258,11 +267,9 @@ def cut_by_vector(
     heavy_vectors = cycles_repeated_at_least(scheme, exponents, heavy_bound)
     if not heavy_vectors:
         raise PreconditionError(f"no cycle is repeated at least {heavy_bound} times")
-    if c.is_zero():
-        if not cone_contains_zero(heavy_vectors):
-            raise PreconditionError("cone of repeated cycles does not contain zero")
-    elif not cone_contains(heavy_vectors, c):
-        raise PreconditionError(f"cone of repeated cycles does not contain {c}")
+    if not cone_contains(heavy_vectors, c):
+        missing = "zero" if c.is_zero() else c
+        raise PreconditionError(f"cone of repeated cycles does not contain {missing}")
     return _cut(scheme, exponents, source, count, c)
 
 
@@ -272,30 +279,18 @@ def shorten_close_away(
     """Vertical shortening for a path confined to the corridor
     [0, corridor) x [corridor, inf) whose climb exceeds
     (cycle_cap*corridor + 1) * norm."""
-    if scheme.K > cycle_cap:
-        raise PreconditionError(f"scheme has {scheme.K} cycles, more than the stated bound {cycle_cap}")
+    norm = _checked_norm(scheme, cycle_cap=cycle_cap)
     trace = run(instantiate(scheme, exponents), source)
-    for point in trace.visited:
-        if not (0 <= point.x < corridor and point.y >= corridor):
-            raise PreconditionError(
-                f"corridor [0,{corridor}) x [{corridor},inf) violated (offending point {point})"
-            )
+    where = f"corridor [0,{corridor}) x [{corridor},inf) violated"
+    _require_all(trace.visited, lambda p: 0 <= p.x < corridor and p.y >= corridor, where)
     climb = (trace.target - source.to_vector()).y
-    threshold = (cycle_cap * corridor + 1) * scheme.norm
+    threshold = (cycle_cap * corridor + 1) * norm
     if climb <= threshold:
         raise PreconditionError(f"climb {climb} does not exceed {threshold}")
-    candidates = [
-        (vec.y, i)
-        for i, n in enumerate(exponents)
-        if n >= corridor
-        for vec in [scheme.beta_vec(i)]
-        if vec.x == 0 and vec.y >= 1
-    ]
-    if not candidates:
-        raise InternalDefectError("no vertical cycle repeated corridor-many times")
-    gamma, tag = min(candidates)
+    heavy = [(i, scheme.beta_vec(i), n) for i, n in enumerate(exponents) if n >= corridor]
+    gamma, tag = _vertical(heavy, "no vertical cycle repeated corridor-many times")
     return _family(
-        scheme, exponents, source, gamma, PlaneVector(0, 1), [(tag, 1)], corridor // gamma
+        scheme, exponents, source, gamma, _UP, [(tag, 1)], corridor // gamma
     )
 
 
@@ -304,12 +299,7 @@ def shorten_away_both(
 ) -> ShorteningFamily:
     """Vertical shortening for a path far from both axes whose effect is
     steeply upward for every slope in [-norm, norm]."""
-    _require_count(count)
-    if scheme.K > cycle_cap:
-        raise PreconditionError(f"scheme has {scheme.K} cycles, more than the stated bound {cycle_cap}")
-    norm = scheme.norm
-    if norm == 0:
-        raise PreconditionError("scheme norm must be positive")
+    norm = _checked_norm(scheme, count, cycle_cap)
     trace = _run_with_margin(scheme, exponents, source, 6 * norm**3 * count)
     delta = trace.target - source.to_vector()
     threshold = (4 * cycle_cap * count + 2) * norm**4
@@ -320,10 +310,7 @@ def shorten_away_both(
             raise PreconditionError(
                 f"<({slope},1)> . (t-s) = {value} does not exceed {threshold}"
             )
-    heavy = cycles_repeated_at_least(scheme, exponents, 2 * norm**2 * count)
-    if not heavy or not cone_contains(heavy, PlaneVector(0, 1)):
-        raise InternalDefectError("(0,1) must lie in the cone of often-repeated cycles")
-    return _cut(scheme, exponents, source, count, PlaneVector(0, 1))
+    return _cut(scheme, exponents, source, count, _UP)
 
 
 @dataclass(frozen=True)
@@ -343,8 +330,6 @@ def _away_other(letters, tags, points, corridor, count, cycle_cap, norm) -> _Awa
     ``points`` is the visited sequence in the working frame; thresholds
     use the originating scheme's ``norm``.
     """
-    if norm == 0:
-        raise PreconditionError("scheme norm must be positive")
     if cycle_cap <= 0:
         raise PreconditionError("cycle bound must be positive")
     if corridor < 6 * norm**3 * count:
@@ -357,24 +342,20 @@ def _away_other(letters, tags, points, corridor, count, cycle_cap, norm) -> _Awa
         raise PreconditionError(
             f"target {t} not in [0,{corridor}) x [{entry_threshold},inf)"
         )
-    for point in points[1:]:
-        if point.x < 0 or point.y < corridor:
-            raise PreconditionError(
-                f"band N x [{corridor},inf) violated after the source (offending point {point})"
-            )
+    where = f"band N x [{corridor},inf) violated after the source"
+    _require_all(points[1:], lambda p: p.x >= 0 and p.y >= corridor, where)
 
     first_return = next(i for i in range(1, len(points)) if points[i].x < corridor)
     t_prime = points[first_return]
     case1_threshold = 6 * (cycle_cap + 1) * (corridor + 1) * norm**4
 
     if (t - t_prime).y > case1_threshold:
-        return _segment_surgery(letters, tags, points, first_return, corridor, count, cycle_cap, norm)
+        return _segment_surgery(letters, tags, points, first_return, corridor, count, norm)
 
     heavy = _heavy_in(letters, tags, 1, first_return - 1, 2 * norm**2 * count)
-    heavy_vectors = {vec for _tag, vec, _cnt in heavy}
-    if first_return >= 2 and heavy_vectors and cone_contains(heavy_vectors, PlaneVector(0, 1)):
-        gamma, deletions = _find_cut(heavy, PlaneVector(0, 1), 2 * norm**2)
-        return _AwayOtherOutcome(case=1, gamma=gamma, deletions=deletions, max_n=count)
+    cut = _up_cut(heavy, count, norm)
+    if cut is not None:
+        return cut
 
     case2_threshold = 7 * (cycle_cap + 2) * (corridor + 1) * norm**5
     anchor = PlaneVector(s.x, -t.y)
@@ -389,7 +370,7 @@ def _away_other(letters, tags, points, corridor, count, cycle_cap, norm) -> _Awa
     return _AwayOtherOutcome(case=2, vector=vec, tag=tag)
 
 
-def _segment_surgery(letters, tags, points, first_return, corridor, count, cycle_cap, norm):
+def _segment_surgery(letters, tags, points, first_return, corridor, count, norm):
     """Locate a steeply climbing segment past the first corridor re-entry
     and shorten inside it: a confined segment yields a repeated vertical
     cycle, an excursion yields a cut toward (0,1)."""
@@ -416,24 +397,45 @@ def _segment_surgery(letters, tags, points, first_return, corridor, count, cycle
         if gain <= (len(seg_cycles) * corridor + corridor + 1) * norm + 2 * norm**4:
             continue
         if not is_far:
-            verticals = [
-                (vec, tag, cnt)
-                for tag, vec, cnt in _heavy_in(letters, tags, lo, hi, corridor)
-                if vec.x == 0 and vec.y >= 1
-            ]
-            if not verticals:
-                raise InternalDefectError("confined climbing segment lacks a vertical repeated cycle")
-            vec, tag, _cnt = min(verticals)
-            return _AwayOtherOutcome(
-                case=1, gamma=vec.y, deletions=[(tag, 1)], max_n=corridor // vec.y
+            gamma, tag = _vertical(
+                _heavy_in(letters, tags, lo, hi, corridor),
+                "confined climbing segment lacks a vertical repeated cycle",
             )
-        heavy = _heavy_in(letters, tags, lo + 1, hi - 1, 2 * norm**2 * count)
-        heavy_vectors = {vec for _tag, vec, _cnt in heavy}
-        if not heavy_vectors or not cone_contains(heavy_vectors, PlaneVector(0, 1)):
+            return _AwayOtherOutcome(
+                case=1, gamma=gamma, deletions=[(tag, 1)], max_n=corridor // gamma
+            )
+        cut = _up_cut(_heavy_in(letters, tags, lo + 1, hi - 1, 2 * norm**2 * count), count, norm)
+        if cut is None:
             raise InternalDefectError("excursion segment cone misses (0,1)")
-        gamma, deletions = _find_cut(heavy, PlaneVector(0, 1), 2 * norm**2)
-        return _AwayOtherOutcome(case=1, gamma=gamma, deletions=deletions, max_n=count)
+        return cut
     raise InternalDefectError("no climbing segment found despite the total climb")
+
+
+def _up_cut(heavy, count: int, norm: int) -> Optional[_AwayOtherOutcome]:
+    """Case 1 by a cut toward (0,1) over the ``heavy`` (tag, vector,
+    count) triples, for up to ``count`` members; None when their cone
+    misses (0,1)."""
+    vectors = {vec for _tag, vec, _n in heavy}
+    if not vectors or not cone_contains(vectors, _UP):
+        return None
+    gamma, deletions = _find_cut(heavy, _UP, 2 * norm**2)
+    return _AwayOtherOutcome(case=1, gamma=gamma, deletions=deletions, max_n=count)
+
+
+def _vertical(heavy, where: str) -> tuple[int, int]:
+    """(gamma, tag) of the shortest climbing vertical cycle (0,gamma) among
+    the ``heavy`` (tag, vector, count) triples, the lowest tag on a tie;
+    InternalDefectError ``where`` when there is none."""
+    climbing = [(vec.y, tag) for tag, vec, _n in heavy if vec.x == 0 and vec.y >= 1]
+    if not climbing:
+        raise InternalDefectError(where)
+    return min(climbing)
+
+
+def _up_family(scheme, exponents, source, outcome: _AwayOtherOutcome, count: int) -> ShorteningFamily:
+    """The vertical family of a case-1 outcome, with at most ``count`` members."""
+    n = min(count, outcome.max_n)
+    return _family(scheme, exponents, source, outcome.gamma, _UP, outcome.deletions, n)
 
 
 def shorten_away_other(
@@ -447,22 +449,13 @@ def shorten_away_other(
     """Analyze a path that starts near the bottom of a vertical corridor
     and ends high inside it: either produce vertical shortenings (case 1)
     or exhibit an up-left cycle responsible for the climb (case 2)."""
-    _require_count(count)
+    norm = _checked_norm(scheme, count, cycle_cap)
     letters, tags = _tagged_letters(scheme, exponents)
     points = list(run(letters, source).visited)
-    outcome = _away_other(letters, tags, points, corridor, count, cycle_cap, scheme.norm)
+    outcome = _away_other(letters, tags, points, corridor, count, cycle_cap, norm)
     if outcome.case == 2:
         return AwayOtherResult(case=2, vector=outcome.vector)
-    family = _family(
-        scheme,
-        exponents,
-        source,
-        outcome.gamma,
-        PlaneVector(0, 1),
-        outcome.deletions,
-        min(count, outcome.max_n),
-    )
-    return AwayOtherResult(case=1, family=family)
+    return AwayOtherResult(case=1, family=_up_family(scheme, exponents, source, outcome, count))
 
 
 def _swap(v: PlaneVector) -> PlaneVector:
@@ -481,12 +474,7 @@ def shorten_one_visit(
     """Shorten a path that dives from the left wall toward the bottom and
     climbs back up the left side, deleting matched cycle repetitions in
     both halves so the net horizontal effect cancels."""
-    _require_count(count)
-    norm = scheme.norm
-    if norm == 0:
-        raise PreconditionError("scheme norm must be positive")
-    if cycle_cap <= 0:
-        raise PreconditionError("cycle bound must be positive")
+    norm = _checked_norm(scheme, count, cycle_cap)
     if corridor < 8 * norm**4 * count:
         raise PreconditionError(
             f"corridor width {corridor} below 8*norm^4*N = {8 * norm**4 * count}"
@@ -503,22 +491,16 @@ def shorten_one_visit(
     height = 19 * (cycle_cap + 2) * (corridor + 1) * norm**6
     if t.x >= corridor or t.y < height or t.y < r.y:
         raise PreconditionError(f"target {t} fails the height conditions (needs y >= {height} and >= {r.y})")
-    for point in points[1 : split_index + 1]:
-        if point.x < corridor or point.y < 0:
-            raise PreconditionError(f"descent half leaves the right band (offending point {point})")
-    for point in points[split_index + 1 :]:
-        if point.x < 0 or point.y < corridor:
-            raise PreconditionError(f"ascent half leaves the upper band (offending point {point})")
+    descent, ascent = points[1 : split_index + 1], points[split_index + 1 :]
+    _require_all(descent, lambda p: p.x >= corridor and p.y >= 0, "descent half leaves the right band")
+    _require_all(ascent, lambda p: p.x >= 0 and p.y >= corridor, "ascent half leaves the upper band")
 
     climb = _away_other(
         letters[split_index:], tags[split_index:], points[split_index:],
         corridor, count, cycle_cap, norm,
     )
     if climb.case == 1:
-        return _family(
-            scheme, exponents, source, climb.gamma, PlaneVector(0, 1), climb.deletions,
-            min(count, climb.max_n),
-        )
+        return _up_family(scheme, exponents, source, climb, count)
 
     v, v_tag = climb.vector, climb.tag
     swapped_letters = [_swap(w) for w in letters[:split_index]]
@@ -527,7 +509,6 @@ def shorten_one_visit(
         swapped_letters, tags[:split_index], swapped_points,
         corridor, count * norm, cycle_cap, norm,
     )
-    members = {}
     if dive.case == 1:
         w = PlaneVector(dive.gamma, 0)
         rho_deletions = [(tag, lam * (-v.x)) for tag, lam in dive.deletions]
@@ -538,7 +519,7 @@ def shorten_one_visit(
     if not 0 <= gamma <= 2 * norm**3:
         raise InternalDefectError(f"matched-deletion gamma {gamma} outside [0, 2*norm^3]")
     deletions = rho_deletions + [(v_tag, w.x)]
-    return _family(scheme, exponents, source, gamma, PlaneVector(0, 1), deletions, count)
+    return _family(scheme, exponents, source, gamma, _UP, deletions, count)
 
 
 def shorten_far(
@@ -546,9 +527,7 @@ def shorten_far(
 ) -> Shortening:
     """Delete a zero-effect bundle of cycle repetitions from a path that
     wanders much further from the axes than its endpoints."""
-    norm = scheme.norm
-    if norm == 0:
-        raise PreconditionError("scheme norm must be positive")
+    norm = _checked_norm(scheme, cycle_cap=cycle_count)
     trace = _run_with_margin(scheme, exponents, source, 6 * norm**3)
     endpoint_norm = max(source.norm, trace.target.norm)
     # strict bound norm(f) > 3*norm^2*endpoints + 7.5*norm^5*K, doubled to
@@ -558,7 +537,4 @@ def shorten_far(
         raise PreconditionError(
             f"peak {peak} does not exceed the far threshold for endpoints {endpoint_norm}"
         )
-    heavy = cycles_repeated_at_least(scheme, exponents, 2 * norm**2)
-    if not heavy or not cone_contains_zero(heavy):
-        raise InternalDefectError("far-point cone must contain zero")
     return _cut(scheme, exponents, source, 1, ZERO).members[1]

@@ -27,6 +27,12 @@ GOLDEN_COMMANDS = {
     "g20-lps-two-cycles.vas": ["flatten"],
     "g21-lps-empty-segs.vas": ["flatten"],
     "g22-lps-three.vas": ["flatten"],
+    "g23-shorten-away-other.vas": [
+        "shorten", "--op", "away-other", "--corridor", "8", "--cycle-cap", "1",
+    ],
+    "g24-shorten-one-visit.vas": [
+        "shorten", "--op", "one-visit", "--split", "701", "--corridor", "8", "--cycle-cap", "2",
+    ],
 }
 
 CERTIFIED = [name for name, argv in GOLDEN_COMMANDS.items() if argv[0] != "flatten"]

@@ -119,14 +119,30 @@ def test_shorten_count_below_one_is_an_input_error(tmp_path, capsys):
         "slps\nseg 0 0\ncyc 0 1\nseg 0 0\ncyc 1 0\nseg 0 0\npath 0 5\nquery 6 6 -> 6 6\n"
     )
     away = os.path.join(GOLDENS_DIR, "g18-shorten-away.vas")
-    for argv, count in [
-        (["shorten", str(f), "--op", "cut", "--direction", "0,1", "--count", "0"], 0),
-        (["shorten", str(f), "--op", "cut", "--direction", "0,1", "--count", "-1"], -1),
-        (["shorten", away, "--op", "away-both", "--count", "0"], 0),
+    far = tmp_path / "far.vas"  # 30 single (0,1) then 30 single (0,-1) repetitions
+    far.write_text(
+        "slps\n" + "seg 0 0\ncyc 0 1\n" * 30 + "seg 0 0\ncyc 0 -1\n" * 30
+        + "seg 0 0\npath " + " ".join(["1"] * 60) + "\nquery 6 6 -> 6 6\n"
+    )
+    climb = tmp_path / "climb.vas"  # 30 vertical cycles climbing a corridor
+    climb.write_text(
+        "slps\n" + "seg 0 1\ncyc 0 1\n" * 30
+        + "seg 0 1\npath " + " ".join(["5"] * 24 + ["4"] * 6) + "\nquery 3 5 -> 3 180\n"
+    )
+    for argv, message in [
+        (["shorten", str(f), "--op", "cut", "--direction", "0,1", "--count", "0"],
+         "count must be at least 1, got 0"),
+        (["shorten", str(f), "--op", "cut", "--direction", "0,1", "--count", "-1"],
+         "count must be at least 1, got -1"),
+        (["shorten", away, "--op", "away-both", "--count", "0"],
+         "count must be at least 1, got 0"),
+        # a cycle cap below the cycle count is an input error, not a defect
+        (["shorten", str(far), "--op", "far", "--cycle-cap", "0"],
+         "scheme has 60 cycles, more than the stated bound 0"),
+        (["shorten", str(climb), "--op", "away-other", "--corridor", "6", "--cycle-cap", "1"],
+         "scheme has 30 cycles, more than the stated bound 1"),
     ]:
-        assert run_cli_err(argv, capsys) == (
-            2, "", f"error: count must be at least 1, got {count}\n"
-        )
+        assert run_cli_err(argv, capsys) == (2, "", f"error: {message}\n")
 
 
 def test_path_over_the_length_limit_exits_3(tmp_path, capsys):

@@ -31,3 +31,54 @@ def test_every_import_is_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert unused == {}, f"{module}: imported but never used: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each private top-level function, class or constant, with the
+    statement that defines it; dunders are exempt."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                found[name] = node
+    return found
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    """Every name a subtree mentions: plain names, attribute names and
+    imported names."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_every_private_definition_is_referenced():
+    trees = {}
+    for module in sorted(os.listdir(SRC_DIR)):
+        if module.endswith(".py"):
+            with open(os.path.join(SRC_DIR, module), encoding="utf-8") as fh:
+                trees[module] = ast.parse(fh.read(), filename=module)
+    # (statement, names it references) for every top-level statement
+    statements = [
+        (stmt, _referenced_names(stmt)) for tree in trees.values() for stmt in tree.body
+    ]
+    unreferenced = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name, definition in _private_definitions(tree).items()
+        if not any(name in names for stmt, names in statements if stmt is not definition)
+    ]
+    assert unreferenced == [], f"private definitions nothing references: {unreferenced}"

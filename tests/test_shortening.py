@@ -22,6 +22,9 @@ from vasskit import (
 
 V = PlaneVector
 UP = slps_of([ZERO, ZERO], [V(0, 1)])  # (0,0) [(0,1)]* (0,0)
+CLIMB = slps_of([V(0, 1), V(0, 1)], [V(0, 1)])
+VEE = slps_of([V(1, 0), V(-1, 1), V(0, 1)], [V(1, -1), V(-1, 1)])
+UP_DOWN = slps_of([ZERO, ZERO, ZERO], [V(0, 1), V(0, -1)])
 
 
 def test_cycles_repeated_at_least():
@@ -158,17 +161,56 @@ def test_shorten_far_margin_violation():
 
 @pytest.mark.parametrize("count", [0, -1])
 def test_counts_below_one_are_rejected(count):
-    climb = slps_of([V(0, 1), V(0, 1)], [V(0, 1)])
-    vee = slps_of([V(1, 0), V(-1, 1), V(0, 1)], [V(1, -1), V(-1, 1)])
     calls = [
         lambda: cut_by_vector(UP, (3,), Configuration(6, 6), count, V(0, 1)),
         lambda: shorten_away_both(UP, (8,), Configuration(6, 6), count, 1),
-        lambda: shorten_away_other(climb, (450,), Configuration(3, 7), 8, count, 1),
-        lambda: shorten_one_visit(vee, (700, 700), Configuration(7, 707), 701, 8, count, 2),
+        lambda: shorten_away_other(CLIMB, (450,), Configuration(3, 7), 8, count, 1),
+        lambda: shorten_one_visit(VEE, (700, 700), Configuration(7, 707), 701, 8, count, 2),
     ]
     for call in calls:
         with pytest.raises(PreconditionError, match=f"count must be at least 1, got {count}"):
             call()
+
+
+# each operation that takes a cycle cap, on a valid input, with its cycle count K
+CAPPED_OPS = {
+    "close-away": (lambda cap: shorten_close_away(UP, (5,), Configuration(0, 2), 2, cap), 1),
+    "away-both": (lambda cap: shorten_away_both(UP, (8,), Configuration(6, 6), 1, cap), 1),
+    "away-other": (
+        lambda cap: shorten_away_other(CLIMB, (450,), Configuration(3, 7), 8, 1, cap), 1
+    ),
+    "one-visit": (
+        lambda cap: shorten_one_visit(VEE, (700, 700), Configuration(7, 707), 701, 8, 1, cap), 2
+    ),
+    "far": (lambda cap: shorten_far(UP_DOWN, (40, 40), Configuration(6, 6), cap), 2),
+}
+
+
+@pytest.mark.parametrize("op", sorted(CAPPED_OPS))
+def test_cycle_cap_below_the_cycle_count_is_rejected(op):
+    call, k = CAPPED_OPS[op]
+    call(k)  # the stated bound K itself is accepted
+    for cap in range(-1, k):
+        with pytest.raises(PreconditionError) as info:
+            call(cap)
+        assert str(info.value) == f"scheme has {k} cycles, more than the stated bound {cap}"
+
+
+def test_norm_zero_is_rejected_by_every_operation():
+    flat = slps_of([ZERO, ZERO], [ZERO])
+    flat2 = slps_of([ZERO, ZERO, ZERO], [ZERO, ZERO])
+    calls = [
+        lambda: cut_by_vector(flat, (3,), Configuration(6, 6), 1, ZERO),
+        lambda: shorten_close_away(flat, (5,), Configuration(0, 2), 2, 1),
+        lambda: shorten_away_both(flat, (8,), Configuration(6, 6), 1, 1),
+        lambda: shorten_away_other(flat, (450,), Configuration(3, 7), 8, 1, 1),
+        lambda: shorten_one_visit(flat2, (700, 700), Configuration(7, 707), 701, 8, 1, 2),
+        lambda: shorten_far(flat2, (40, 40), Configuration(6, 6), 2),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError) as info:
+            call()
+        assert str(info.value) == "scheme norm must be positive"
 
 
 def test_shortening_violation_catches_tampering():

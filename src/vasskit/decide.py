@@ -17,21 +17,38 @@ automaton state go to the dense form, and a cap whose grid is larger
 even unpadded (the command line's default caps, the scheme caps) goes
 straight to the sparse form, before any other set-up.
 
-The dense form, ``_dense_levels``, holds each BFS level as one int per
+The dense form, ``_dense_levels``, holds node sets as one int per
 automaton state, a bitset over the padded grid [0,cap] x [0,cap+P] with
 bit x*W + y for node (x, y), row stride W = cap+1+P and P the largest
 |dy| of a letter.  A letter (dx, dy) on an edge i -> j is one shift by
-dx*W + dy OR-ed into state j's next level; the P pad columns and the
-int's two ends catch every step that leaves the cap, and a mask clears
-them together with the nodes already seen.  It counts ``explored`` per
-level and raises the budget error with the same depth and largest
-counter as the sparse form.  As soon as a level contains a goal it hands
-the whole query to the sparse form, which spells the witness; it does the
-same once its shifts have cost more word operations per expanded node
-than ``THIN_WORDS``, so that a deep search of a few nodes per level costs
-about what the sparse form costs.  A letter with a coordinate beyond the
-cap never fires inside it, so the dense form leaves it out of its shifts
-and of the pad P.
+dx*W + dy OR-ed into state j's set; the P pad columns and the int's two
+ends catch every step that leaves the cap, and a mask clears them.  A
+letter with a coordinate beyond the cap never fires inside it, so the
+dense form leaves it out of its shifts and of the pad P.
+
+Without a length bound it first saturates in place: each letter's shift
+of its source state's whole reached set is OR-ed into the target state's,
+sweep after sweep, until a sweep adds nothing or a goal is reached.  The
+BFS levels partition the in-cap reachable set, so when no goal is in it
+and it holds at most ``budget`` nodes, its size is the ``explored`` of
+the level-by-level search and the answer is UnreachableWithinCap.  A
+length bound, a goal or a larger set runs the levels: each level is the
+shifted previous one minus the nodes already seen, ``explored`` grows by
+its size, and the budget error names the same depth and largest counter
+as the sparse form.  The level that holds a goal is answered from the
+levels kept so far (``_spell``): a backward pass marks the nodes of each
+level that lead to a goal, and a forward walk from the first marked
+initial state takes, at each node, the first edge into a marked node.
+That is the least shortest path in the sparse form's order, so it is the
+sparse form's witness; the nodes ordered before it, carried along the
+walk, give the number of goal-level nodes the sparse form expands before
+the goal, and with it ``explored`` or the budget error.  Both the
+saturation and the levels hand the query to the sparse form once their
+shifts have cost more word operations per node than ``THIN_WORDS``, so
+that a deep search of a few nodes per level costs about what the sparse
+form costs; the levels are let go once they hold more than
+``KEEP_WORDS`` words per expanded node, and a goal after that also goes
+to the sparse form.
 
 The sparse form, ``_sparse_bfs``, numbers the automaton's states 0..n-1
 in declaration order and keys a node (state i, x, y) by the one int
@@ -46,10 +63,10 @@ grids of at most ``GRID_BITS`` bits per state are ever sized by the cap.
 The exploration order is fixed: initial states in sorted order, edges in
 declaration order, the first parent found wins, the goal test runs when
 a node is taken from the frontier and the budget test when it is
-expanded.  Every witness comes from the sparse form, so the witness, its
-state trace and ``explored`` of a positive answer follow this order; a
-negative answer's ``explored`` and a budget error's message depend only
-on the BFS levels, which are the same sets in both forms.
+expanded.  A node's search-tree path is therefore the least of its
+shortest paths in the order (initial state, edge position, edge position,
+...), and both forms return the one to the first goal in that order,
+with the same state trace, ``explored`` and budget messages.
 
 ``brute_force_oracle`` is a separate, deliberately naive search that
 shares no code with the kernel, so that it can cross-check it; verifying
@@ -150,13 +167,20 @@ GRID_BITS = 1 << 16
 # however few nodes it holds, and one node of the sparse loop about 220 of
 # them (least squares over 139 searches, 2-vCPU Xeon VM: 5.9 ns per word,
 # 1.65 us per shift, 1.30 us per sparse node).  Once the shifts so far
-# cost more than THIN_WORDS per node expanded, with a grace of cap nodes,
-# the levels are too thin for bitsets and the query goes to the sparse
-# loop.  No vass-bfs negative of seeds 1..10 and 7919 crosses it; a search
-# of one node per level at cap 250, which took 8.6x the sparse time when
-# the dense form ran to the end, hands over after about 45 levels.
+# cost more than THIN_WORDS per node expanded (or reached, in the
+# saturation), with a grace of cap nodes, the levels are too thin for
+# bitsets and the query goes to the sparse loop.  No vass-bfs query of
+# seeds 1..10 and 7919 crosses it, in the saturation or in the levels; a
+# search of one node per level at cap 250, which took 8.6x the sparse time
+# when the level loop ran to the end, hands over after about 45 sweeps.
 SHIFT_WORDS = 256
 THIN_WORDS = 384
+
+# The dense form keeps its levels for spelling a witness while they hold at
+# most this many words per expanded node, twice that while spelling; the
+# sparse loop's parent codes cost about 18.6 (tracemalloc peak of a
+# 90,596-node search).  vass-bfs positives keep at most 3.5.
+KEEP_WORDS = 16
 
 
 def decide_capped_bfs(
@@ -196,10 +220,10 @@ def _budget_error(budget: int, depth: int, largest: int) -> BudgetExceededError:
 
 
 def _dense_levels(vass, source, target, cap, length_bound, budget):
-    """The search on one bitset per automaton state and level, bit
-    x*w + y for node (x, y); None when the padded grid has more than
-    GRID_BITS bits, as soon as a level holds a goal, or once the levels
-    turn out too thin."""
+    """The search on one bitset per automaton state, bit x*w + y for node
+    (x, y); None when the padded grid has more than GRID_BITS bits, once
+    the levels turn out too thin, or when a level holds a goal after its
+    levels were let go."""
     # a letter with a coordinate beyond the cap never fires inside it
     letters = [(p, v, q) for p, v, q in vass.edges if v.norm <= cap]
     w = cap + 1 + max((abs(v.y) for _, v, _ in letters), default=0)
@@ -216,37 +240,137 @@ def _dense_levels(vass, source, target, cap, length_bound, budget):
     level = [0] * len(names)
     for q in vass.initial:
         level[index[q]] = 1 << (source.x * w + source.y)
-    unseen = [mask & ~bits for bits in level]
     goal = 1 << (target.x * w + target.y)
     goals = [index[q] for q in vass.accepting]
-    explored = depth = shifts = 0
+
+    def thin(shifts, nodes):
+        return shifts * (words + SHIFT_WORDS) > THIN_WORDS * (nodes + cap)
+
+    if length_bound is None:
+        reached = list(level)
+        shifts = 0
+        while not any(reached[j] & goal for j in goals):
+            before = list(reached)
+            for i, out in enumerate(moves):
+                if reached[i]:
+                    shifts += len(out)
+                    for shift, j in out:
+                        bits = reached[i]
+                        reached[j] |= (bits << shift if shift >= 0 else bits >> -shift) & mask
+            nodes = sum(bits.bit_count() for bits in reached)
+            if reached == before:
+                if nodes > budget:
+                    break
+                return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=nodes)
+            if thin(shifts, nodes):
+                return None
+    unseen = [mask & ~bits for bits in level]
+    levels = []  # kept to spell a witness while they cost at most KEEP_WORDS per node
+    kept = explored = depth = shifts = 0
     while any(level):
         if any(level[j] & goal for j in goals):
-            return None
+            if levels is None:
+                return None
+            levels.append(level)
+            word, states, ahead = _spell(vass, source, cap, w, moves, levels, goal, goals)
+            if depth != length_bound:
+                explored += ahead
+                if explored > budget:
+                    raise _budget_error(budget, depth, _largest(level, w, cap))
+            return Verdict(
+                kind=REACHABLE, cap=cap, witness=word, states=states,
+                explored=explored, bound=length_bound,
+            )
         if depth == length_bound:
             break
         explored += sum(bits.bit_count() for bits in level)
         if explored > budget:
-            union = 0
-            for bits in level:
-                union |= bits
-            ys = max(((union >> (r * w)) & row).bit_length() for r in range(cap + 1))
-            raise _budget_error(budget, depth, max((union.bit_length() - 1) // w, ys - 1))
-        nxt = [0] * len(names)
-        for bits, out in zip(level, moves):
-            if bits:
-                shifts += len(out)
-                for shift, j in out:
-                    nxt[j] |= bits << shift if shift >= 0 else bits >> -shift
+            raise _budget_error(budget, depth, _largest(level, w, cap))
+        if levels is not None:
+            levels.append(level)
+            kept += sum(bits.bit_length() for bits in level) >> 6
+            if kept > KEEP_WORDS * (explored + cap):
+                levels = None
+        shifts += sum(len(out) for bits, out in zip(level, moves) if bits)
+        nxt = _successors(level, moves)
         for j, bits in enumerate(nxt):
             bits &= unseen[j]
             unseen[j] ^= bits
             nxt[j] = bits
-        if shifts * (words + SHIFT_WORDS) > THIN_WORDS * (explored + cap):
+        if thin(shifts, explored):
             return None
         level = nxt
         depth += 1
     return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=explored, bound=length_bound)
+
+
+def _successors(sets, moves):
+    """The bitsets one letter away from the given ones, unmasked."""
+    nxt = [0] * len(sets)
+    for bits, out in zip(sets, moves):
+        if bits:
+            for shift, j in out:
+                nxt[j] |= bits << shift if shift >= 0 else bits >> -shift
+    return nxt
+
+
+def _largest(level, w, cap):
+    """The largest counter of a node in the level's bitsets."""
+    row = (1 << (cap + 1)) - 1
+    union = 0
+    for bits in level:
+        union |= bits
+    ys = max(((union >> (r * w)) & row).bit_length() for r in range(cap + 1))
+    return max((union.bit_length() - 1) // w, ys - 1)
+
+
+def _spell(vass, source, cap, w, moves, levels, goal, goals):
+    """The sparse loop's witness from the dense levels 0..L, the last one
+    holding a goal: the least shortest path to a goal in the order
+    (initial state, edge position, edge position, ...), as its word and
+    state trace, and the number of level-L nodes before its goal in that
+    order."""
+    n = len(levels[0])
+    last = len(levels) - 1
+    # on[i]: the nodes of level i that start a path to a goal in level L
+    on = [[0] * n for _ in levels]
+    for j in goals:
+        on[last][j] = levels[last][j] & goal
+    for i in range(last - 1, -1, -1):
+        for p, out in enumerate(moves):
+            if levels[i][p]:
+                back = 0
+                for shift, j in out:
+                    bits = on[i + 1][j]
+                    back |= bits >> shift if shift >= 0 else bits << -shift
+                on[i][p] = levels[i][p] & back
+    names = vass.states
+    index = {q: i for i, q in enumerate(names)}
+    edges = [vass.edges_from(q) for q in names]
+    initial = sorted(vass.initial)
+    pos = source.x * w + source.y
+    first = next(q for q in initial if on[0][index[q]])
+    # ahead[p]: the nodes of state p in the current level ordered before the path
+    ahead = [0] * n
+    for q in initial[: initial.index(first)]:
+        ahead[index[q]] = 1 << pos
+    i = index[first]
+    word, states = [], [first]
+    for k in range(last):
+        nxt = _successors(ahead, moves)
+        x, y = divmod(pos, w)
+        for v, r in edges[i]:
+            if 0 <= x + v.x <= cap and 0 <= y + v.y <= cap:
+                step = pos + v.x * w + v.y
+                j = index[r]
+                if on[k + 1][j] >> step & 1:
+                    break
+                nxt[j] |= 1 << step
+        word.append(v)
+        states.append(r)
+        pos, i = step, j
+        ahead = [bits & lvl for bits, lvl in zip(nxt, levels[k + 1])]
+    return tuple(word), tuple(states), sum(bits.bit_count() for bits in ahead)
 
 
 def _sparse_bfs(vass, source, target, cap, length_bound, budget):

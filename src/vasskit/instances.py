@@ -6,7 +6,9 @@ or ``slps``.  Simple-scheme files carry one vector per ``seg``/``cyc``
 line (``seg 0 1``); general LPS files carry a space-separated list of
 ``x,y`` pairs instead, which may be empty for ``seg``.  An optional
 ``path n1 n2 ...`` line fixes cycle exponents and an optional
-``query sx sy -> tx ty`` line states a reachability question.
+``query sx sy -> tx ty`` line states a reachability question; a second
+``path`` or ``query`` line, or a state named twice on ``states`` lines,
+is a ParseError naming its line.
 """
 
 from __future__ import annotations
@@ -42,6 +44,12 @@ def parse_pair(token: str, line: Optional[int] = None) -> PlaneVector:
     if len(parts) != 2 or not parts[0] or not parts[1]:
         raise ParseError(f"expected an x,y pair, got {token!r}", line)
     return PlaneVector(_int(parts[0], line), _int(parts[1], line))
+
+
+def _once(previous, key: str, line: int) -> None:
+    """A ParseError naming ``line`` when a ``key`` line came before it."""
+    if previous is not None:
+        raise ParseError(f"second {key} line; an instance has at most one", line)
 
 
 def _parse_query(tokens: list[str], line: int) -> tuple[Configuration, Configuration]:
@@ -84,7 +92,10 @@ def _parse_vass(body) -> Instance:
     for lineno, tokens in body:
         key, rest = tokens[0], tokens[1:]
         if key == "states":
-            states.extend(rest)
+            for name in rest:
+                if name in states:
+                    raise ParseError(f"state {name!r} declared twice", lineno)
+                states.append(name)
         elif key == "init":
             init.update(rest)
         elif key == "final":
@@ -94,6 +105,7 @@ def _parse_vass(body) -> Instance:
                 raise ParseError("edge syntax is: edge from to dx dy", lineno)
             edges.append((rest[0], PlaneVector(_int(rest[2], lineno), _int(rest[3], lineno)), rest[1]))
         elif key == "query":
+            _once(query, key, lineno)
             query = _parse_query(rest, lineno)
         else:
             raise ParseError(f"unknown directive {key!r}", lineno)
@@ -121,8 +133,10 @@ def _parse_scheme(kind: str, body) -> Instance:
                     raise ParseError("cycles must be nonempty", lineno)
             segments.append((key, word, lineno))
         elif key == "path":
+            _once(exponents, key, lineno)
             exponents = tuple(_int(tok, lineno) for tok in rest)
         elif key == "query":
+            _once(query, key, lineno)
             query = _parse_query(rest, lineno)
         else:
             raise ParseError(f"unknown directive {key!r}", lineno)

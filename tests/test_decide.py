@@ -174,23 +174,27 @@ def _outcome(vass, s, t, cap, bound, budget):
         return str(exc)
 
 
+def _random_vass(rng):
+    letters = [V(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    states = ("a", "b", "c", "d")[: rng.randint(1, 4)]
+    edges = [
+        (rng.choice(states), rng.choice(letters), rng.choice(states))
+        for _ in range(rng.randint(1, 7))
+    ]
+    edges += rng.sample(edges, rng.randint(0, len(edges)))  # duplicate edges
+    rng.shuffle(edges)
+    return Vass(
+        states, tuple(edges),
+        frozenset(rng.sample(states, rng.randint(1, len(states)))),
+        frozenset(rng.sample(states, rng.randint(1, len(states)))),
+    )
+
+
 def test_dense_levels_match_sparse_loop(monkeypatch):
     rng = Random(7)
-    letters = [V(x, y) for x in range(-3, 4) for y in range(-3, 4)]
     budget_outs = reachable = 0
     for _ in range(2000):
-        states = ("a", "b", "c", "d")[: rng.randint(1, 4)]
-        edges = [
-            (rng.choice(states), rng.choice(letters), rng.choice(states))
-            for _ in range(rng.randint(1, 7))
-        ]
-        edges += rng.sample(edges, rng.randint(0, len(edges)))  # duplicate edges
-        rng.shuffle(edges)
-        vass = Vass(
-            states, tuple(edges),
-            frozenset(rng.sample(states, rng.randint(1, len(states)))),
-            frozenset(rng.sample(states, rng.randint(1, len(states)))),
-        )
+        vass = _random_vass(rng)
         cap = rng.randint(0, 30)
         s = Configuration(rng.randint(0, cap), rng.randint(0, cap))
         t = Configuration(rng.randint(0, cap), rng.randint(0, cap))
@@ -208,24 +212,47 @@ def test_dense_levels_match_sparse_loop(monkeypatch):
     assert budget_outs > 100 and reachable > 100
 
 
-def test_dense_selector(monkeypatch):
+def _counting_sparse(monkeypatch):
+    """Patch the sparse loop to record its calls; returns the record."""
     real = decide._sparse_bfs
     calls = []
-
-    def refuse(*args):
-        raise AssertionError("sparse loop called")
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(decide, "_sparse_bfs", refuse)
+    monkeypatch.setattr(decide, "_sparse_bfs", counting)
+    return calls
+
+
+def test_dense_saturation_and_spelling_match_sparse_loop(monkeypatch):
+    # no length bound and a budget no search here reaches: negatives end in
+    # the saturation and positives are spelled from the dense levels
+    rng = Random(11)
+    calls = _counting_sparse(monkeypatch)
+    saturated = spelled = 0
+    for _ in range(2000):
+        vass = _random_vass(rng)
+        cap = rng.randint(0, 60)
+        s = Configuration(rng.randint(0, cap), rng.randint(0, cap))
+        t = Configuration(rng.randint(0, cap), rng.randint(0, cap))
+        calls.clear()
+        dense = decide_capped_bfs(vass, s, t, cap, budget=2_000_000)
+        if not calls:
+            saturated += dense.kind == UNREACHABLE_WITHIN_CAP
+            spelled += dense.kind == REACHABLE
+        sparse = _forced_sparse(monkeypatch, vass, s, t, cap, budget=2_000_000)
+        assert dense == sparse, (vass, s, t, cap)
+    assert saturated >= 300 and spelled >= 300
+
+
+def test_dense_selector(monkeypatch):
+    calls = _counting_sparse(monkeypatch)
     # x + y is invariant, so the whole diagonal of 31 nodes is expanded
     verdict = decide_capped_bfs(LOOP, Configuration(30, 0), Configuration(0, 29), 30)
     assert verdict.kind == UNREACHABLE_WITHIN_CAP and verdict.explored == 31
-    monkeypatch.setattr(decide, "_sparse_bfs", counting)
     verdict = decide_capped_bfs(LOOP, Configuration(2, 0), Configuration(0, 2), 30)
-    assert verdict.witness == (V(-1, 1), V(-1, 1)) and len(calls) == 1
+    assert verdict.witness == (V(-1, 1), V(-1, 1)) and not calls
 
 
 def _forced_sparse(monkeypatch, *args, **kwargs):
@@ -266,6 +293,14 @@ def test_thin_levels_go_to_sparse_loop(monkeypatch):
 
     monkeypatch.setattr(decide, "_sparse_bfs", counting)
     assert decide_capped_bfs(thin, s, t, cap) == expected and len(calls) == 1
+
+
+def test_let_go_levels_go_to_sparse_loop(monkeypatch):
+    s, t = Configuration(2, 0), Configuration(0, 2)
+    expected = _forced_sparse(monkeypatch, LOOP, s, t, 30)
+    calls = _counting_sparse(monkeypatch)
+    monkeypatch.setattr(decide, "KEEP_WORDS", 0)
+    assert decide_capped_bfs(LOOP, s, t, 30) == expected and len(calls) == 1
 
 
 def test_oracle_length_bound():

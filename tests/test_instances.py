@@ -2,7 +2,7 @@
 
 import pytest
 
-from vasskit import ParseError, PlaneVector, parse_instance, serialize_instance
+from vasskit import ParseError, PlaneVector, cli, parse_instance, serialize_instance
 
 V = PlaneVector
 
@@ -81,3 +81,25 @@ def test_errors_are_positioned():
         parse_instance("lps\nseg 1,0\ncyc\nseg\n")  # empty cycle
     with pytest.raises(ParseError, match="line 2: expected an x,y pair, got '1'"):
         parse_instance("lps\nseg 1\ncyc 1,1\nseg\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (VASS_TEXT + "query 0 0 -> 1 1\n", "line 8: second query line"),
+        (SLPS_TEXT + "query 0 0 -> 0 1\n", "line 6: second query line"),
+        (SLPS_TEXT + "path 1\npath 2\n", "line 7: second path line"),
+        ("vass\nstates p p q\n", "line 2: state 'p' declared twice"),
+        ("vass\nstates p q\nstates q\n", "line 3: state 'q' declared twice"),
+    ],
+)
+def test_repeated_lines_are_errors(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_instance(text)
+
+
+def test_repeated_query_line_exits_2(tmp_path, capsys):
+    f = tmp_path / "twice.vas"
+    f.write_text(VASS_TEXT + "query 0 0 -> 1 1\n")
+    assert cli.main(["decide", str(f)]) == 2
+    assert "line 8: second query line" in capsys.readouterr().err

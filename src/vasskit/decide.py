@@ -28,7 +28,8 @@ dense form leaves it out of its shifts and of the pad P.
 
 Without a length bound it first saturates in place: each letter's shift
 of its source state's whole reached set is OR-ed into the target state's,
-sweep after sweep, until a sweep adds nothing or a goal is reached.  The
+sweep after sweep, until a sweep adds nothing, a goal is reached or the
+set holds more than ``budget`` nodes.  The
 BFS levels partition the in-cap reachable set, so when no goal is in it
 and it holds at most ``budget`` nodes, its size is the ``explored`` of
 the level-by-level search and the answer is UnreachableWithinCap.  A
@@ -258,9 +259,9 @@ def _dense_levels(vass, source, target, cap, length_bound, budget):
                         bits = reached[i]
                         reached[j] |= (bits << shift if shift >= 0 else bits >> -shift) & mask
             nodes = sum(bits.bit_count() for bits in reached)
+            if nodes > budget:
+                break  # the levels name the depth of the budget error
             if reached == before:
-                if nodes > budget:
-                    break
                 return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=nodes)
             if thin(shifts, nodes):
                 return None

@@ -230,6 +230,14 @@ def test_dense_saturation_and_spelling_match_sparse_loop(monkeypatch):
     # the saturation and positives are spelled from the dense levels
     rng = Random(11)
     calls = _counting_sparse(monkeypatch)
+    real_successors = decide._successors
+    level_steps = []
+
+    def counting_successors(*args):
+        level_steps.append(None)
+        return real_successors(*args)
+
+    monkeypatch.setattr(decide, "_successors", counting_successors)
     saturated = spelled = 0
     for _ in range(2000):
         vass = _random_vass(rng)
@@ -237,9 +245,11 @@ def test_dense_saturation_and_spelling_match_sparse_loop(monkeypatch):
         s = Configuration(rng.randint(0, cap), rng.randint(0, cap))
         t = Configuration(rng.randint(0, cap), rng.randint(0, cap))
         calls.clear()
+        level_steps.clear()
         dense = decide_capped_bfs(vass, s, t, cap, budget=2_000_000)
         if not calls:
-            saturated += dense.kind == UNREACHABLE_WITHIN_CAP
+            # a saturation negative never steps a level
+            saturated += dense.kind == UNREACHABLE_WITHIN_CAP and not level_steps
             spelled += dense.kind == REACHABLE
         sparse = _forced_sparse(monkeypatch, vass, s, t, cap, budget=2_000_000)
         assert dense == sparse, (vass, s, t, cap)

@@ -1,7 +1,9 @@
 """Reachability toolkit for planar vector addition systems with states
 and linear path schemes: exact cone geometry, certified path-shortening
 operations, scheme splitting, complete simple-scheme decisions, and a
-capped general decider, with seeded property fuzzing throughout.
+capped general decider, with seeded property fuzzing throughout.  The
+paper's lemmas that back no decision (Lemma 5's drift bound, Lemma 11's
+loop lemma) are checked by the test suite instead.
 """
 
 from .core import (
@@ -53,7 +55,6 @@ from .instances import Instance, load_instance, parse_instance, serialize_instan
 from .schemes import (
     SlpsMember,
     WitnessResult,
-    check_loop_lemma,
     norm_bound,
     norm_bound_value,
     origin_exponents,
@@ -67,7 +68,6 @@ from .shortening import (
     ShorteningFamily,
     cut_by_vector,
     cycles_repeated_at_least,
-    drift_lower_bound,
     shorten_away_both,
     shorten_away_other,
     shorten_close_away,

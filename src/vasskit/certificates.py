@@ -164,10 +164,12 @@ def verify_certificate_file(path: str) -> list[str]:
         text = fh.read()
     violations: list[str] = []
     instance_file: Optional[str] = None
+    empty = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        empty = False
         key, _, rest = line.partition(":")
         rest = rest.strip()
         if key == "instance":
@@ -183,6 +185,8 @@ def verify_certificate_file(path: str) -> list[str]:
             violations.extend(_check_result(result, instance_file, lineno))
         else:
             raise ParseError(f"unknown certificate line {key!r}", lineno)
+    if empty:
+        raise ParseError("empty certificate file")
     return violations
 
 
@@ -221,6 +225,9 @@ def _check_verdict(verdict: Verdict, instance_file: Optional[str], lineno: int) 
                 return [f"line {lineno}: witness leaves the stated cap at {point}"]
         return []
     if verdict.kind == UNREACHABLE_WITHIN_CAP:
+        floor = max(s.norm, t.norm)
+        if verdict.cap < floor:
+            return [f"line {lineno}: stated cap {verdict.cap} is below the endpoint norms {floor}"]
         again = brute_force_oracle(
             instance.vass, s, t, verdict.cap, budget=2_000_000, length_bound=verdict.bound
         )

@@ -158,8 +158,6 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_fuzz(args, out) -> int:
-    if args.target not in fuzzing.TARGETS:
-        raise ParseError(f"unknown fuzz target {args.target!r}")
     report = fuzzing.run_target(args.target, args.iters, args.seed)
     print(
         f"fuzz: target={report.target} iters={report.iterations}"
@@ -248,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("fuzz", help="run a seeded property-fuzzing target")
-    p.add_argument("target")
+    p.add_argument("target", choices=fuzzing.TARGETS)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repro", default=None, help="reproduction file on failure")

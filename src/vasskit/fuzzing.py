@@ -256,40 +256,7 @@ def _check_lemma4(cone_set) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# drift and the shortening operations
-
-
-def _gen_slps(rng: Random, max_cycles: int = 3, max_norm: int = 2, max_exp: int = 20):
-    k = rng.randint(1, max_cycles)
-    pool = _all_vectors(max_norm)
-    alphas = [rng.choice(pool) for _ in range(k + 1)]
-    betas = [rng.choice(pool) for _ in range(k)]
-    exponents = tuple(rng.randint(0, max_exp) for _ in range(k))
-    return slps_of(alphas, betas), exponents
-
-
-def _gen_lemma5(rng: Random):
-    for _ in range(500):
-        scheme, exponents = _gen_slps(rng)
-        p = PlaneVector(rng.randint(-2, 2), rng.randint(-2, 2))
-        if p.is_zero():
-            continue
-        bound = rng.randint(1, 4)
-        strict = rng.random() < 0.5
-        heavy = shortening.cycles_repeated_at_least(scheme, exponents, bound)
-        ok = all(p.dot(a) > 0 for a in heavy) if strict else all(p.dot(a) >= 0 for a in heavy)
-        if ok:
-            return (scheme, exponents, p, bound, strict)
-    return (slps_of([ZERO, ZERO], [PlaneVector(0, 1)]), (3,), PlaneVector(0, 1), 2, True)
-
-
-def _check_lemma5(case) -> Optional[str]:
-    scheme, exponents, p, bound, strict = case
-    value = shortening.drift_lower_bound(scheme, exponents, p, bound, strict)
-    actual = p.dot(effect(instantiate(scheme, exponents)))
-    if actual < value:
-        return f"drift {actual} below the stated lower bound {value}"
-    return None
+# the shortening operations
 
 
 def _validate_family(
@@ -549,22 +516,6 @@ def _check_thm10(scheme) -> Optional[str]:
     return None
 
 
-def _gen_lemma11(rng: Random):
-    d = rng.randint(1, 2)
-    length = rng.randint(1, 5)
-    word = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(length)]
-    start = tuple(rng.randint(0, 6) for _ in range(d))
-    return (word, start, rng.randint(0, 4), d)
-
-
-def _check_lemma11(case) -> Optional[str]:
-    word, start, m, d = case
-    repeated, flanked = schemes.check_loop_lemma(word, start, m, d)
-    if repeated != flanked:
-        return f"admissibility split: repeated={repeated}, flanked={flanked}"
-    return None
-
-
 def _gen_lps(rng: Random, max_len: int = 8, max_norm: int = 2, max_cycles: int = 3):
     pool = _all_vectors(max_norm)
     total = rng.randint(1, max_len)
@@ -821,7 +772,6 @@ TARGETS: dict[str, FuzzTarget] = {
     "lemma2": FuzzTarget(_gen_vector_set, _check_lemma2, _shrink_vector_set),
     "lemma3": FuzzTarget(_gen_zero_free_set, _check_lemma3, _shrink_vector_set),
     "lemma4": FuzzTarget(_gen_excluding_set, _check_lemma4, _shrink_vector_set),
-    "lemma5": FuzzTarget(_gen_lemma5, _check_lemma5),
     "lemma6": FuzzTarget(_gen_lemma6, _check_lemma6),
     "thm5": FuzzTarget(_gen_thm5, _check_thm5),
     "thm6": FuzzTarget(_gen_thm6, _check_thm6),
@@ -829,7 +779,6 @@ TARGETS: dict[str, FuzzTarget] = {
     "thm8": FuzzTarget(_gen_thm8, _check_thm8),
     "thm9": FuzzTarget(_gen_thm9, _check_thm9),
     "thm10": FuzzTarget(_gen_thm10, _check_thm10),
-    "lemma11": FuzzTarget(_gen_lemma11, _check_lemma11),
     "thm12": FuzzTarget(_gen_lps, _check_thm12),
     "decider": FuzzTarget(_gen_decider, _check_decider),
 }

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import (
     Configuration,
@@ -30,44 +30,7 @@ from .core import (
     run,
 )
 from .decide import decide_capped_bfs
-from .errors import InternalDefectError, PreconditionError
-
-
-def _tuple_add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _admissible_from(word: Sequence[tuple], start: tuple) -> bool:
-    point = tuple(start)
-    if any(c < 0 for c in point):
-        return False
-    for step in word:
-        point = _tuple_add(point, step)
-        if any(c < 0 for c in point):
-            return False
-    return True
-
-
-def check_loop_lemma(word, start, m: int, d: int) -> tuple[bool, bool]:
-    """Compare admissibility of word^(m+2) with word (eff word)^m word.
-
-    Works in dimension d <= 4 over plain integer tuples.  Returns the two
-    booleans; they are provably equal, which callers assert.
-    """
-    if not 1 <= d <= 4:
-        raise PreconditionError(f"dimension {d} outside the supported range 1..4")
-    if m < 0:
-        raise PreconditionError("repetition count must be non-negative")
-    letters = [tuple(v) for v in word]
-    start = tuple(start)
-    if len(start) != d or any(len(v) != d for v in letters):
-        raise PreconditionError("vector dimensions must all equal d")
-    if any(c < 0 for c in start):
-        raise PreconditionError("start point must be non-negative")
-    eff = tuple(sum(v[i] for v in letters) for i in range(d))
-    repeated = letters * (m + 2)
-    flanked = letters + [eff] * m + letters
-    return _admissible_from(repeated, start), _admissible_from(flanked, start)
+from .errors import InternalDefectError
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from .core import (
     ZERO,
     effect,
     instantiate,
-    path_length,
     run,
 )
 from .errors import InternalDefectError, PreconditionError
@@ -94,24 +93,6 @@ def cycles_repeated_at_least(scheme: Slps, exponents: SchemePath, bound: int) ->
             f"scheme has {scheme.K} cycles but {len(exponents)} exponents were given"
         )
     return {scheme.beta_vec(i) for i, n in enumerate(exponents) if n >= bound}
-
-
-def drift_lower_bound(
-    scheme: Slps, exponents: SchemePath, p: PlaneVector, bound: int, strict: bool
-) -> int:
-    """Lower bound on p . effect(path) when every cycle repeated at least
-    ``bound`` times has positive (strict) or non-negative dot product with p."""
-    heavy = cycles_repeated_at_least(scheme, exponents, bound)
-    for a in sorted(heavy):
-        d = p.dot(a)
-        if strict and d <= 0:
-            raise PreconditionError(f"repeated cycle {a} has {p}.{a} = {d}, not > 0")
-        if not strict and d < 0:
-            raise PreconditionError(f"repeated cycle {a} has {p}.{a} = {d}, not >= 0")
-    kb1 = scheme.K * bound + 1
-    if strict:
-        return path_length(scheme, exponents) - kb1 * (2 * scheme.norm * p.norm + 1)
-    return -kb1 * (2 * scheme.norm * p.norm)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from random import Random
 import pytest
 
 from conftest import CERTIFIED, GOLDENS_DIR, golden_argv
+from test_paper_lemmas import check_loop_lemma, drift_violation, gen_drift_case, gen_slps
 from vasskit import (
     BudgetExceededError,
     Configuration,
@@ -65,8 +66,7 @@ def test_acceptance_2_drift_suite(capsys):
     rng = Random(102)
     violations = []
     for i in range(1000):
-        case = fuzzing._gen_lemma5(rng)
-        reason = fuzzing._check_lemma5(case)
+        reason = drift_violation(gen_drift_case(rng))
         if reason:
             violations.append((i, reason))
     report(capsys, 2, not violations, f"1000 drift tuples, {len(violations)} violations")
@@ -95,7 +95,7 @@ def test_acceptance_4_norm_bound_suite(capsys):
     produced = 0
     observed = 0
     while produced < 200:
-        scheme, _ = fuzzing._gen_slps(rng, max_cycles=3, max_norm=2, max_exp=0)
+        scheme, _ = gen_slps(rng, max_cycles=3, max_norm=2, max_exp=0)
         try:
             witness = schemes.slps_reach(scheme, origin, origin, budget=60_000).exponents
         except BudgetExceededError:
@@ -129,7 +129,7 @@ def test_acceptance_5_loop_lemma_suite(capsys):
         ]
         start = (rng.randint(0, 6), rng.randint(0, 6))
         m = rng.randint(0, 4)
-        repeated, flanked = schemes.check_loop_lemma(word, start, m, 2)
+        repeated, flanked = check_loop_lemma(word, start, m)
         if repeated != flanked:
             violations.append((i, word, start, m))
     report(capsys, 5, not violations, f"2000 loop tuples, {len(violations)} disagreements")

@@ -211,8 +211,37 @@ def test_fuzz_thm10_generates_each_case_once(tmp_path, capsys, monkeypatch):
 
 
 def test_fuzz_unknown_target(capsys):
-    assert cli.main(["fuzz", "nonsense"]) == 2
-    capsys.readouterr()
+    for target in ("nonsense", "lemma5", "lemma11"):
+        code, out, err = run_cli_err(["fuzz", target], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:") and f"invalid choice: '{target}'" in err
+    code, out = run_cli(["fuzz", "--help"], capsys)
+    assert code == 0 and "{" + ",".join(fuzzing.TARGETS) + "}" in out
+
+
+def test_verify_rejects_a_negative_cap_below_the_endpoint_norms(tmp_path, capsys):
+    (tmp_path / "loop.vas").write_text(LOOP_TEXT)
+    cert = tmp_path / "verdict.cert"
+    for cap in (0, 1):
+        cert.write_text(f"instance: loop.vas\nverdict: kind=UnreachableWithinCap cap={cap}\n")
+        assert run_cli(["verify", str(cert)], capsys) == (
+            1, f"verify: line 2: stated cap {cap} is below the endpoint norms 2\n"
+        )
+
+
+def test_verify_rejects_an_empty_file(tmp_path, capsys):
+    cert = tmp_path / "empty.cert"
+    for text in ("", "# nothing\n\n"):
+        cert.write_text(text)
+        code, out, err = run_cli_err(["verify", str(cert)], capsys)
+        assert (code, out, err) == (2, "", "error: empty certificate file\n")
+    # a case-2 corridor exit yields no shortening, so its certificate is the instance line alone
+    scheme = tmp_path / "exit.vas"
+    scheme.write_text("slps\nseg 0 1\ncyc -1 1\nseg 0 1\npath 170\nquery 174 5 -> 174 5\n")
+    argv = ["shorten", str(scheme), "--op", "away-other", "--corridor", "6", "--cycle-cap", "1"]
+    assert run_cli(argv + ["--cert", str(cert)], capsys) == (0, "case: 2 vector=-1,1\n")
+    assert cert.read_text() == "instance: exit.vas\n"
+    assert run_cli(["verify", str(cert)], capsys) == (0, "verify: ok\n")
 
 
 def test_goldens_match_expected_outputs(capsys):

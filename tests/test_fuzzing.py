@@ -135,8 +135,8 @@ def test_thm12_reports_the_first_lost_target(monkeypatch, scheme, dropped, viola
 
 
 def test_run_target_deterministic():
-    a = fuzzing.run_target("lemma5", 40, 9)
-    b = fuzzing.run_target("lemma5", 40, 9)
+    a = fuzzing.run_target("lemma6", 40, 9)
+    b = fuzzing.run_target("lemma6", 40, 9)
     assert a == b and not a.failures
 
 

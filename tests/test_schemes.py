@@ -15,7 +15,6 @@ from vasskit import (
     Verdict,
     ZERO,
     brute_force_oracle,
-    check_loop_lemma,
     effect,
     instantiate,
     norm_bound,
@@ -40,19 +39,6 @@ def instantiate_lps(scheme: Lps, reps):
         word.extend(scheme.betas[i] * reps[i])
         word.extend(scheme.alphas[i + 1])
     return tuple(word)
-
-
-def test_check_loop_lemma_examples():
-    assert check_loop_lemma([(1, -2), (0, 1)], (0, 5), 2, 2) == (True, True)
-    assert check_loop_lemma([(0, -1), (0, 1)], (0, 1), 3, 2) == (True, True)
-    assert check_loop_lemma([(0, -2), (0, 1)], (0, 2), 1, 2) == (False, False)
-
-
-def test_check_loop_lemma_validation():
-    with pytest.raises(Exception):
-        check_loop_lemma([(0, 1)], (0,), 1, 5)  # dimension out of range
-    with pytest.raises(Exception):
-        check_loop_lemma([(0, 1)], (0, -1), 1, 2)  # negative start
 
 
 def test_split_lps_counts_and_bounds():

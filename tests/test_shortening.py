@@ -10,7 +10,6 @@ from vasskit import (
     ZERO,
     cut_by_vector,
     cycles_repeated_at_least,
-    drift_lower_bound,
     shorten_away_both,
     shorten_away_other,
     shorten_close_away,
@@ -32,13 +31,6 @@ def test_cycles_repeated_at_least():
     assert cycles_repeated_at_least(UP, (3,), 4) == set()
     two = slps_of([ZERO, ZERO, ZERO], [V(0, 1), V(1, 0)])
     assert cycles_repeated_at_least(two, (5, 2), 3) == {V(0, 1)}
-
-
-def test_drift_lower_bound():
-    assert drift_lower_bound(UP, (8,), V(0, 1), 2, strict=True) == 1
-    assert drift_lower_bound(UP, (8,), V(0, 1), 2, strict=False) == -6
-    with pytest.raises(PreconditionError):
-        drift_lower_bound(UP, (8,), V(0, -1), 2, strict=True)
 
 
 def test_cut_by_vector():

@@ -2,14 +2,21 @@
 
 One breadth-first search, ``decide_capped_bfs``, decides the general
 system.  It explores (automaton state, configuration) pairs with both
-counters bounded by a cap, level by level, each pair at most once; an
-optional length bound stops it from expanding past that depth, and a
-budget on expanded pairs ends every search.  A positive answer comes with
-a shortest in-cap witness; a negative answer is only ever "unreachable
-within this cap" (and bound), because the cap for the general system is
-heuristic.  The same kernel decides simple schemes: ``schemes.slps_reach``
-runs it on a scheme's path automaton at a cap backed by an explicit bound,
-so there, and only there, a negative answer is unconditional.
+counters bounded by a cap, level by level, each pair at most once.  A
+positive answer comes with a shortest in-cap witness; a negative answer
+is only ever "unreachable within this cap" (and bound), because the cap
+for the general system is heuristic.  The same kernel decides simple
+schemes: ``schemes.slps_reach`` runs it on a scheme's path automaton at a
+cap backed by an explicit bound, so there, and only there, a negative
+answer is unconditional.
+
+Both forms of the kernel and ``brute_force_oracle`` keep one level
+contract.  Level d holds the pairs first reached by d letters.  Before it
+is expanded, the search returns the first goal in it, stops if d is the
+optional length bound, adds the level's size to ``explored``, and raises
+BudgetExceededError if that passes the budget, naming depth d and the
+largest counter in the level.  So ``explored`` counts the pairs of the
+levels expanded before the answer.
 
 The kernel stores the nodes in one of two forms, chosen per call by the
 size of the grid: padded grids of at most ``GRID_BITS`` bits per
@@ -29,27 +36,22 @@ dense form leaves it out of its shifts and of the pad P.
 Without a length bound it first saturates in place: each letter's shift
 of its source state's whole reached set is OR-ed into the target state's,
 sweep after sweep, until a sweep adds nothing, a goal is reached or the
-set holds more than ``budget`` nodes.  The
-BFS levels partition the in-cap reachable set, so when no goal is in it
-and it holds at most ``budget`` nodes, its size is the ``explored`` of
-the level-by-level search and the answer is UnreachableWithinCap.  A
-length bound, a goal or a larger set runs the levels: each level is the
-shifted previous one minus the nodes already seen, ``explored`` grows by
-its size, and the budget error names the same depth and largest counter
-as the sparse form.  The level that holds a goal is answered from the
-levels kept so far (``_spell``): a backward pass marks the nodes of each
-level that lead to a goal, and a forward walk from the first marked
-initial state takes, at each node, the first edge into a marked node.
-That is the least shortest path in the sparse form's order, so it is the
-sparse form's witness; the nodes ordered before it, carried along the
-walk, give the number of goal-level nodes the sparse form expands before
-the goal, and with it ``explored`` or the budget error.  Both the
-saturation and the levels hand the query to the sparse form once their
-shifts have cost more word operations per node than ``THIN_WORDS``, so
-that a deep search of a few nodes per level costs about what the sparse
-form costs; the levels are let go once they hold more than
-``KEEP_WORDS`` words per expanded node, and a goal after that also goes
-to the sparse form.
+set holds more than ``budget`` nodes.  The BFS levels partition the
+in-cap reachable set, so when no goal is in it and it holds at most
+``budget`` nodes, its size is the ``explored`` of the level-by-level
+search and the answer is UnreachableWithinCap.  A length bound, a goal
+or a larger set runs the levels: each level is the shifted previous one
+minus the nodes already seen.  The level that holds a goal is answered
+from the levels kept so far (``_spell``): a backward pass marks the
+nodes of each level that lead to a goal, and a forward walk from the
+first marked initial state takes, at each node, the first edge into a
+marked node.  That is the least shortest path in the sparse form's
+order, so it is the sparse form's witness.  Both the saturation and the
+levels hand the query to the sparse form once their shifts have cost
+more word operations per node than ``THIN_WORDS``, so that a deep search
+of a few nodes per level costs about what the sparse form costs; the
+levels are let go once they hold more than ``KEEP_WORDS`` words per
+expanded node, and a goal after that also goes to the sparse form.
 
 The sparse form, ``_sparse_bfs``, numbers the automaton's states 0..n-1
 in declaration order and keys a node (state i, x, y) by the one int
@@ -62,12 +64,10 @@ the largest out-degree; the witness is decoded from these codes.
 ``parents`` is a dict, so memory follows the reachable region; only
 grids of at most ``GRID_BITS`` bits per state are ever sized by the cap.
 The exploration order is fixed: initial states in sorted order, edges in
-declaration order, the first parent found wins, the goal test runs when
-a node is taken from the frontier and the budget test when it is
-expanded.  A node's search-tree path is therefore the least of its
-shortest paths in the order (initial state, edge position, edge position,
-...), and both forms return the one to the first goal in that order,
-with the same state trace, ``explored`` and budget messages.
+declaration order, the first parent found wins.  A node's search-tree
+path is therefore the least of its shortest paths in the order (initial
+state, edge position, edge position, ...), and both forms return the one
+to the first goal in that order, with the same state trace.
 
 ``brute_force_oracle`` is a separate, deliberately naive search that
 shares no code with the kernel, so that it can cross-check it; verifying
@@ -89,8 +89,8 @@ UNREACHABLE_WITHIN_CAP = "UnreachableWithinCap"
 @dataclass(frozen=True)
 class Verdict:
     """A decision with provenance: the cap and any length bound used, the
-    witness (word and state trace) when reachable, and an explored-state
-    statistic."""
+    witness (word and state trace) when reachable, and ``explored``, the
+    number of nodes in the BFS levels expanded before the answer."""
 
     kind: str
     cap: int
@@ -197,8 +197,8 @@ def decide_capped_bfs(
     words of at most length_bound letters when a bound is given.
 
     Returns a shortest in-cap witness when one exists, else
-    UnreachableWithinCap.  Raises BudgetExceededError once more than
-    budget states have been expanded.
+    UnreachableWithinCap.  Raises BudgetExceededError when the levels it
+    must expand hold more than budget states.
     """
     if cap < max(source.norm, target.norm):
         raise PreconditionError(
@@ -272,12 +272,7 @@ def _dense_levels(vass, source, target, cap, length_bound, budget):
         if any(level[j] & goal for j in goals):
             if levels is None:
                 return None
-            levels.append(level)
-            word, states, ahead = _spell(vass, source, cap, w, moves, levels, goal, goals)
-            if depth != length_bound:
-                explored += ahead
-                if explored > budget:
-                    raise _budget_error(budget, depth, _largest(level, w, cap))
+            word, states = _spell(vass, source, cap, w, moves, levels + [level], goal, goals)
             return Verdict(
                 kind=REACHABLE, cap=cap, witness=word, states=states,
                 explored=explored, bound=length_bound,
@@ -329,8 +324,7 @@ def _spell(vass, source, cap, w, moves, levels, goal, goals):
     """The sparse loop's witness from the dense levels 0..L, the last one
     holding a goal: the least shortest path to a goal in the order
     (initial state, edge position, edge position, ...), as its word and
-    state trace, and the number of level-L nodes before its goal in that
-    order."""
+    state trace."""
     n = len(levels[0])
     last = len(levels) - 1
     # on[i]: the nodes of level i that start a path to a goal in level L
@@ -345,20 +339,13 @@ def _spell(vass, source, cap, w, moves, levels, goal, goals):
                     bits = on[i + 1][j]
                     back |= bits >> shift if shift >= 0 else bits << -shift
                 on[i][p] = levels[i][p] & back
-    names = vass.states
-    index = {q: i for i, q in enumerate(names)}
-    edges = [vass.edges_from(q) for q in names]
-    initial = sorted(vass.initial)
+    index = {q: i for i, q in enumerate(vass.states)}
+    edges = [vass.edges_from(q) for q in vass.states]
     pos = source.x * w + source.y
-    first = next(q for q in initial if on[0][index[q]])
-    # ahead[p]: the nodes of state p in the current level ordered before the path
-    ahead = [0] * n
-    for q in initial[: initial.index(first)]:
-        ahead[index[q]] = 1 << pos
+    first = next(q for q in sorted(vass.initial) if on[0][index[q]])
     i = index[first]
     word, states = [], [first]
     for k in range(last):
-        nxt = _successors(ahead, moves)
         x, y = divmod(pos, w)
         for v, r in edges[i]:
             if 0 <= x + v.x <= cap and 0 <= y + v.y <= cap:
@@ -366,12 +353,10 @@ def _spell(vass, source, cap, w, moves, levels, goal, goals):
                 j = index[r]
                 if on[k + 1][j] >> step & 1:
                     break
-                nxt[j] |= 1 << step
         word.append(v)
         states.append(r)
         pos, i = step, j
-        ahead = [bits & lvl for bits, lvl in zip(nxt, levels[k + 1])]
-    return tuple(word), tuple(states), sum(bits.bit_count() for bits in ahead)
+    return tuple(word), tuple(states)
 
 
 def _sparse_bfs(vass, source, target, cap, length_bound, budget):
@@ -397,24 +382,24 @@ def _sparse_bfs(vass, source, target, cap, length_bound, budget):
     explored = 0
     depth = 0
     while frontier:
-        last = depth == length_bound
+        if not goals.isdisjoint(frontier):
+            key = next(key for key in frontier if key in goals)
+            word, states = _rebuild(parents, key, names, out, maxdeg)
+            return Verdict(
+                kind=REACHABLE, cap=cap, witness=word, states=states,
+                explored=explored, bound=length_bound,
+            )
+        if depth == length_bound:
+            break
+        explored += len(frontier)
+        if explored > budget:
+            largest = max(max(divmod(k // n, width)) for k in frontier)
+            # a caught exception keeps this frame alive through its traceback
+            del parents, frontier
+            raise _budget_error(budget, depth, largest)
         nxt_frontier: list[int] = []
         push = nxt_frontier.append
         for key in frontier:
-            if key in goals:
-                word, states = _rebuild(parents, key, names, out, maxdeg)
-                return Verdict(
-                    kind=REACHABLE, cap=cap, witness=word, states=states,
-                    explored=explored, bound=length_bound,
-                )
-            if last:
-                continue
-            explored += 1
-            if explored > budget:
-                largest = max(max(divmod(k // n, width)) for k in frontier)
-                # a caught exception keeps this frame alive through its traceback
-                del parents, frontier, nxt_frontier, push
-                raise _budget_error(budget, depth, largest)
             point, i = divmod(key, n)
             x, y = divmod(point, width)
             base = key * maxdeg
@@ -438,8 +423,11 @@ def brute_force_oracle(
     With a length bound it stops after that many levels.
 
     Returns the same verdict kind, and for positive answers the length of
-    a shortest in-cap witness (no witness word is produced).
+    a shortest in-cap witness (no witness word is produced).  ``explored``
+    is the number of nodes in the levels expanded before the answer.
     """
+    if length_bound is not None and length_bound < 0:
+        raise PreconditionError(f"length bound {length_bound} is negative")
     level = {(q, source.x, source.y) for q in vass.initial}
     seen = set(level)
     explored = 0

@@ -744,6 +744,8 @@ def _check_decider(case) -> Optional[str]:
     slow = decide.brute_force_oracle(vass, s, t, cap)
     if fast.kind != slow.kind:
         return f"verdicts diverge: {fast.kind} vs oracle {slow.kind}"
+    if fast.explored != slow.explored:
+        return f"explored {fast.explored} states, oracle {slow.explored}"
     if fast.kind == decide.REACHABLE:
         if fast.length != slow.length:
             return f"witness length {fast.length} differs from oracle {slow.length}"
@@ -807,6 +809,8 @@ def minimize(target: FuzzTarget, case, violation_of: Callable[[object], Optional
 
 
 def run_target(name: str, iterations: int, seed: int) -> FuzzReport:
+    if iterations < 1:
+        raise PreconditionError(f"iteration count must be at least 1, got {iterations}")
     target = TARGETS[name]
     rng = Random(seed)
     failures = []

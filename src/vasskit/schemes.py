@@ -159,8 +159,8 @@ def slps_reach(
     to target at ``search_cap``, so a negative answer is unconditional
     and a positive one is a shortest admissible path within that cap.
     The kernel's witness spends n_i + 1 states on q_(i+1), which gives
-    cycle exponent n_i.  Raises BudgetExceededError once more than
-    ``budget`` automaton states have been expanded.
+    cycle exponent n_i.  Raises BudgetExceededError when the levels the
+    kernel must expand hold more than ``budget`` automaton states.
     """
     cap = search_cap(scheme, source, target)
     verdict = decide_capped_bfs(_path_automaton(scheme), source, target, cap, budget=budget)

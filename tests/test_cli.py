@@ -179,6 +179,14 @@ def test_fuzz_clean_run(tmp_path, capsys, monkeypatch):
     assert out == "fuzz: target=lemma1 iters=30 seed=5 failures=0\n"
 
 
+def test_fuzz_iteration_count_below_one_is_an_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for iters in ("0", "-5"):
+        assert run_cli_err(["fuzz", "lemma1", "--iters", iters, "--seed", "1"], capsys) == (
+            2, "", f"error: iteration count must be at least 1, got {iters}\n"
+        )
+
+
 def test_fuzz_injection_hook(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     injected = dataclasses.replace(fuzzing.TARGETS["lemma1"], check=lambda case: "injected failure")
@@ -229,6 +237,15 @@ def test_verify_rejects_a_negative_cap_below_the_endpoint_norms(tmp_path, capsys
         )
 
 
+def test_verify_rejects_a_negative_length_bound(tmp_path, capsys):
+    (tmp_path / "loop.vas").write_text(LOOP_TEXT)
+    cert = tmp_path / "verdict.cert"
+    cert.write_text("instance: loop.vas\nverdict: kind=UnreachableWithinCap cap=5 bound=-3\n")
+    assert run_cli_err(["verify", str(cert)], capsys) == (
+        2, "", "error: length bound -3 is negative\n"
+    )
+
+
 def test_verify_rejects_an_empty_file(tmp_path, capsys):
     cert = tmp_path / "empty.cert"
     for text in ("", "# nothing\n\n"):
@@ -256,6 +273,9 @@ def test_goldens_match_expected_outputs(capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the same sources as this test, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable, "-m", "vasskit.cli",
@@ -263,6 +283,7 @@ def test_console_script_entry_point():
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "verify: ok\n"

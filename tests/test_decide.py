@@ -140,11 +140,12 @@ def test_exploration_order_pinned():
     verdict = decide_capped_bfs(MULTI, s, Configuration(2, 4), 6)
     assert verdict.witness == (V(1, 0), V(0, 1), V(0, 1), V(-1, 1), V(1, 1))
     assert verdict.states == ("p", "q", "q", "q", "p", "r")
-    assert verdict.explored == 33
+    assert verdict.explored == 31
     verdict = decide_capped_bfs(MULTI, s, Configuration(1, 5), 6)
     assert verdict.witness == (V(0, 1), V(0, 1), V(0, 1), V(-1, 1), V(1, 1))
     assert verdict.states == ("p", "q", "q", "q", "p", "r")
-    assert verdict.explored == 37
+    # both goals are in level 5, so the same levels are expanded before them
+    assert verdict.explored == 31
     verdict = decide_capped_bfs(MULTI, s, Configuration(3, 3), 6)
     assert verdict.kind == UNREACHABLE_WITHIN_CAP and verdict.explored == 51
 
@@ -160,11 +161,14 @@ def test_huge_cap_tiny_region():
 def test_budget_message_diagnoses():
     with pytest.raises(BudgetExceededError) as info:
         decide_capped_bfs(GRID, Configuration(0, 0), Configuration(90, 90), 100, budget=50)
-    # levels 0..8 of the grid hold 45 points, so the 51st expansion is in level 9
+    # levels 0..8 of the grid hold 45 points, so level 9 passes the budget
     assert str(info.value) == (
         "search exceeded its budget of 50 states at depth 9;"
         " largest counter on the frontier: 9"
     )
+    # a goal in that level is found before the level is charged
+    verdict = decide_capped_bfs(GRID, Configuration(0, 0), Configuration(0, 9), 100, budget=50)
+    assert verdict.kind == REACHABLE and verdict.explored == 45
 
 
 def _outcome(vass, s, t, cap, bound, budget):
@@ -190,7 +194,12 @@ def _random_vass(rng):
     )
 
 
+def _summary(outcome):
+    return "budget" if isinstance(outcome, str) else (outcome.kind, outcome.length, outcome.explored)
+
+
 def test_dense_levels_match_sparse_loop(monkeypatch):
+    # both forms and the oracle keep the same level contract
     rng = Random(7)
     budget_outs = reachable = 0
     for _ in range(2000):
@@ -206,6 +215,11 @@ def test_dense_levels_match_sparse_loop(monkeypatch):
             m.setattr(decide, "GRID_BITS", 0)
             sparse = _outcome(vass, s, t, cap, bound, budget)
         assert dense == sparse, (vass, s, t, cap, bound, budget)
+        try:
+            slow = brute_force_oracle(vass, s, t, cap, budget=budget, length_bound=bound)
+        except BudgetExceededError:
+            slow = "budget"
+        assert _summary(dense) == _summary(slow), (vass, s, t, cap, bound, budget)
         budget_outs += isinstance(dense, str)
         reachable += not isinstance(dense, str) and dense.kind == REACHABLE
     # every outcome class is exercised

@@ -153,6 +153,18 @@ class Vass:
     def edges_from(self, state: str) -> list[tuple[PlaneVector, str]]:
         return [(v, q) for p, v, q in self.edges if p == state]
 
+    def __repr__(self) -> str:
+        """The dataclass repr with both state sets sorted, so it does not
+        depend on string hashing (PYTHONHASHSEED)."""
+
+        def names(group: frozenset[str]) -> str:
+            return f"frozenset({{{', '.join(map(repr, sorted(group)))}}})" if group else "frozenset()"
+
+        return (
+            f"Vass(states={self.states!r}, edges={self.edges!r}, "
+            f"initial={names(self.initial)}, accepting={names(self.accepting)})"
+        )
+
 
 @dataclass(frozen=True)
 class Lps:
@@ -235,9 +247,7 @@ def instantiate(scheme: Lps, exponents: SchemePath) -> Word:
     for n in exponents:
         if n < 0:
             raise PreconditionError(f"exponents must be non-negative, got {n}")
-    length = path_length(scheme, exponents)
-    if length > MAX_PATH_LENGTH:
-        raise BudgetExceededError(f"path of {length} letters exceeds the limit of {MAX_PATH_LENGTH}")
+    require_path_length(scheme, exponents)
     letters: list[PlaneVector] = list(scheme.alphas[0])
     for i, n in enumerate(exponents):
         letters.extend(scheme.betas[i] * n)
@@ -250,3 +260,10 @@ def path_length(scheme: Lps, exponents: SchemePath) -> int:
     return sum(len(a) for a in scheme.alphas) + sum(
         n * len(b) for n, b in zip(exponents, scheme.betas)
     )
+
+
+def require_path_length(scheme: Lps, exponents: SchemePath) -> None:
+    """Raise BudgetExceededError for a path longer than MAX_PATH_LENGTH letters."""
+    length = path_length(scheme, exponents)
+    if length > MAX_PATH_LENGTH:
+        raise BudgetExceededError(f"path of {length} letters exceeds the limit of {MAX_PATH_LENGTH}")

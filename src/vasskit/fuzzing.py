@@ -140,12 +140,13 @@ def _divides(v: PlaneVector, target: PlaneVector, bound: int) -> bool:
     return 1 <= k <= bound and v.scale(k) == target
 
 
-def _all_vectors(max_norm: int):
-    return [
+@functools.cache
+def _all_vectors(max_norm: int) -> tuple[PlaneVector, ...]:
+    return tuple(
         PlaneVector(x, y)
         for x in range(-max_norm, max_norm + 1)
         for y in range(-max_norm, max_norm + 1)
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +278,8 @@ def _validate_family(
 
 def _offset_source(scheme: Slps, exponents, margin: int) -> Configuration:
     """A source placing the whole run at least ``margin`` from both axes."""
-    lows = run(instantiate(scheme, exponents), Configuration(0, 0)).visited
-    return Configuration(
-        margin - min(min(p.x for p in lows), 0), margin - min(min(p.y for p in lows), 0)
-    )
+    _length, _effect, drop = path_profile(scheme, exponents)
+    return Configuration(margin - drop.x, margin - drop.y)
 
 
 def _gen_lemma6(rng: Random):
@@ -536,7 +535,7 @@ def _gen_lps(rng: Random, max_len: int = 8, max_norm: int = 2, max_cycles: int =
 
 def bounded_relation(blocks, max_len: int):
     """All (length, effect, min-prefix-drop) profiles of complete paths
-    through ``blocks`` (('L', word) and ('C', word) entries) with at most
+    through ``blocks`` (the summaries of ``_block_summaries``) with at most
     max_len letters, each with one representative cycle-exponent tuple.
 
     The drop is the component-wise minimum displacement over all
@@ -545,38 +544,37 @@ def bounded_relation(blocks, max_len: int):
     at most once: extra turns only add length.
     """
     states: dict[tuple, tuple] = {(0, 0, 0, 0, 0): ()}
-    for kind, word in blocks:
-        e = effect(word)
-        visited = run(word, Configuration(0, 0)).visited
-        drop_x = min(p.x for p in visited)
-        drop_y = min(p.y for p in visited)
+    for is_cycle, length, wx, wy, drop_x, drop_y in blocks:
         nxt: dict[tuple, tuple] = {}
-        if kind == "L":
+        if not is_cycle:
             for (ln, ex, ey, dx, dy), exps in states.items():
-                if ln + len(word) > max_len:
+                if ln + length > max_len:
                     continue
                 key = (
-                    ln + len(word), ex + e.x, ey + e.y,
+                    ln + length, ex + wx, ey + wy,
                     min(dx, ex + drop_x), min(dy, ey + drop_y),
                 )
                 if key not in nxt:
                     nxt[key] = exps
         else:
-            max_turns = 1 if e.is_zero() else max_len
+            still = wx == 0 and wy == 0
+            max_turns = 1 if still else max_len
             for (ln, ex, ey, dx, dy), exps in states.items():
                 if (ln, ex, ey, dx, dy) not in nxt:
                     nxt[(ln, ex, ey, dx, dy)] = exps + (0,)
-                if e.is_zero() and drop_x == 0 and drop_y == 0:
+                if still and drop_x == 0 and drop_y == 0:
                     continue
                 cx, cy, cdx, cdy, cln = ex, ey, dx, dy, ln
                 for n in range(1, max_turns + 1):
-                    cln += len(word)
+                    cln += length
                     if cln > max_len:
                         break
-                    cdx = min(cdx, cx + drop_x)
-                    cdy = min(cdy, cy + drop_y)
-                    cx += e.x
-                    cy += e.y
+                    if cx + drop_x < cdx:
+                        cdx = cx + drop_x
+                    if cy + drop_y < cdy:
+                        cdy = cy + drop_y
+                    cx += wx
+                    cy += wy
                     key = (cln, cx, cy, cdx, cdy)
                     if key not in nxt:
                         nxt[key] = exps + (n,)
@@ -584,28 +582,21 @@ def bounded_relation(blocks, max_len: int):
     return states
 
 
-def _lps_blocks(scheme: Lps):
-    blocks = [("L", scheme.alphas[0])]
-    for i in range(scheme.K):
-        blocks.append(("C", scheme.betas[i]))
-        blocks.append(("L", scheme.alphas[i + 1]))
-    return blocks
+def _block_summaries(scheme: Lps) -> tuple[tuple[bool, int, int, int, int, int], ...]:
+    """One (is_cycle, length, wx, wy, bx, by) summary per block of
+    a0 b1 a1 ... bK aK, in order: the block's effect w and its least
+    prefix b, per axis (b <= min(0, w), the empty prefix included).
 
-
-def path_profile(scheme: Lps, reps) -> tuple[int, PlaneVector, PlaneVector]:
-    """(length, effect, drop) of one scheme path, by block composition.
-
-    One pass over a block's letters gives its effect w and prefix drop d
-    (both per axis, d <= min(0, w)).  n >= 1 turns of the block from
-    running effect E reach their lowest prefix at E + d + min(0, (n-1)*w),
-    so each block composes in closed form, whatever its exponent.
+    ``bounded_relation`` and ``_compose`` read a scheme only through these
+    summaries, so the split checker (``_check_thm12``) makes one pass over
+    each scheme's letters, composes every path profile it needs in plain
+    ints, and never builds or runs a word.
     """
-    ln, ex, ey, dx, dy = 0, 0, 0, 0, 0
-    cycles = iter(reps)
-    for kind, word in _lps_blocks(scheme):
-        n = 1 if kind == "L" else next(cycles)
-        if n == 0:
-            continue
+    words = [scheme.alphas[0]]
+    for beta, alpha in zip(scheme.betas, scheme.alphas[1:]):
+        words += [beta, alpha]
+    summaries = []
+    for i, word in enumerate(words):
         wx = wy = bx = by = 0
         for v in word:
             wx += v.x
@@ -614,6 +605,24 @@ def path_profile(scheme: Lps, reps) -> tuple[int, PlaneVector, PlaneVector]:
                 bx = wx
             if wy < by:
                 by = wy
+        summaries.append((i % 2 == 1, len(word), wx, wy, bx, by))
+    return tuple(summaries)
+
+
+def _compose(blocks, reps) -> tuple[int, int, int, int, int]:
+    """(length, ex, ey, dx, dy) of the path taking cycle i reps[i] times:
+    its length, effect e and drop d, from its scheme's block summaries.
+
+    n >= 1 turns of a block with effect w and least prefix b, from running
+    effect E, reach their lowest prefix at E + b + min(0, (n-1)*w), so each
+    block composes in closed form, whatever its exponent.
+    """
+    ln = ex = ey = dx = dy = 0
+    cycles = iter(reps)
+    for is_cycle, length, wx, wy, bx, by in blocks:
+        n = next(cycles) if is_cycle else 1
+        if n == 0:
+            continue
         low_x = ex + bx + ((n - 1) * wx if wx < 0 else 0)
         low_y = ey + by + ((n - 1) * wy if wy < 0 else 0)
         if low_x < dx:
@@ -622,7 +631,13 @@ def path_profile(scheme: Lps, reps) -> tuple[int, PlaneVector, PlaneVector]:
             dy = low_y
         ex += n * wx
         ey += n * wy
-        ln += n * len(word)
+        ln += n * length
+    return ln, ex, ey, dx, dy
+
+
+def path_profile(scheme: Lps, reps) -> tuple[int, PlaneVector, PlaneVector]:
+    """(length, effect, drop) of one scheme path, by ``_compose``."""
+    ln, ex, ey, dx, dy = _compose(_block_summaries(scheme), reps)
     return ln, PlaneVector(ex, ey), PlaneVector(dx, dy)
 
 
@@ -646,14 +661,17 @@ _BOX = 48  # targets are kept only inside [0, 48]^2
 
 def _thresholds(drops) -> list[int]:
     """For each source x in _SOURCES, the least source y >= 0 that some
-    drop in ``drops`` admits (len(_SOURCES) when none does)."""
-    out = []
-    for sx in _SOURCES:
-        least = len(_SOURCES)
-        for dx, dy in drops:
-            if sx + dx >= 0 and -dy < least:
-                least = max(0, -dy)
-        out.append(least)
+    drop in ``drops`` admits (len(_SOURCES) when none does).
+
+    A drop (dx, dy) admits every source x >= max(0, -dx), so it is
+    bucketed at that x and the answer is a prefix minimum."""
+    out = [len(_SOURCES)] * len(_SOURCES)
+    for dx, dy in drops:
+        sx = max(0, -dx)
+        if sx < len(_SOURCES):
+            out[sx] = min(out[sx], max(0, -dy))
+    for sx in _SOURCES[1:]:
+        out[sx] = min(out[sx], out[sx - 1])
     return out
 
 
@@ -667,10 +685,13 @@ def _lost_target(origin, union) -> Optional[tuple[tuple[int, int], tuple[int, in
     y a set of drops admits form an up-set {y : y >= threshold(x)}.
     Distinct effects give distinct targets from one source, so effect e
     loses its target at (x, y) exactly when the origin's threshold <= y <
-    the union's threshold and (x, y) + e lies in the box.
+    the union's threshold and (x, y) + e lies in the box.  An effect
+    that lands outside the box from every source is skipped.
     """
     best = None
     for (ex, ey), drops in origin.items():
+        if not (-_SOURCES[-1] <= ex <= _BOX and -_SOURCES[-1] <= ey <= _BOX):
+            continue
         here = _thresholds(drops)
         there = _thresholds(union.get((ex, ey), ()))
         for sx in _SOURCES:
@@ -695,19 +716,20 @@ def _check_thm12(scheme: Lps) -> Optional[str]:
         if member.scheme.norm > max(2 * norm * size, norm):
             return f"member norm {member.scheme.norm} exceeds 2*norm*|L|"
     max_len = 40
-    origin_compressed = _compress(bounded_relation(_lps_blocks(scheme), max_len))
+    origin_blocks = _block_summaries(scheme)
+    origin_compressed = _compress(bounded_relation(origin_blocks, max_len))
     union_compressed: dict[tuple, list] = {}
     for member in members:
-        member_states = bounded_relation(_lps_blocks(member.scheme), max_len)
+        member_states = bounded_relation(_block_summaries(member.scheme), max_len)
         # every member path must map to a genuine origin path: same
         # effect, same admissibility threshold, boundedly longer
         for (ln, ex, ey, dx, dy), exps in member_states.items():
             reps = schemes.origin_exponents(member, exps, scheme.K)
-            oln, oeff, odrop = path_profile(scheme, reps)
-            if oeff != PlaneVector(ex, ey):
-                return f"profile {member.profile}: origin effect {oeff} != ({ex},{ey})"
-            if odrop != PlaneVector(dx, dy):
-                return f"profile {member.profile}: origin drop {odrop} != ({dx},{dy})"
+            oln, oex, oey, odx, ody = _compose(origin_blocks, reps)
+            if (oex, oey) != (ex, ey):
+                return f"profile {member.profile}: origin effect {PlaneVector(oex, oey)} != ({ex},{ey})"
+            if (odx, ody) != (dx, dy):
+                return f"profile {member.profile}: origin drop {PlaneVector(odx, ody)} != ({dx},{dy})"
             if oln > max(ln, 1) * size:
                 return f"profile {member.profile}: origin length {oln} exceeds |path|*|L|"
         _compress(member_states, union_compressed)

@@ -200,6 +200,39 @@ def test_fuzz_injection_hook(tmp_path, capsys, monkeypatch):
     assert repro.exists() and "minimized:" in repro.read_text()
 
 
+INJECT_DECIDER_FAILURE = """
+import dataclasses, sys
+from vasskit import cli, fuzzing
+fuzzing.TARGETS["decider"] = dataclasses.replace(
+    fuzzing.TARGETS["decider"], check=lambda case: "injected failure"
+)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_fuzz_repro_file_is_byte_identical_across_hash_seeds(tmp_path):
+    # a decider case holds its initial and accepting states as frozensets
+    # of names, whose iteration order follows PYTHONHASHSEED
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    repros = []
+    for hash_seed in ("1", "2"):
+        repro = tmp_path / f"repro-{hash_seed}.txt"
+        proc = subprocess.run(
+            [
+                sys.executable, "-c", INJECT_DECIDER_FAILURE,
+                "fuzz", "decider", "--iters", "30", "--seed", "1", "--repro", str(repro),
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 1 and "injected failure" in proc.stdout
+        repros.append(repro.read_bytes())
+    assert repros[0] == repros[1]
+    assert b"case: (Vass(" in repros[0] and b"initial=frozenset({" in repros[0]
+
+
 def test_fuzz_thm10_generates_each_case_once(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     calls = []

@@ -1,5 +1,6 @@
 """Fuzzing harness internals: oracles, determinism, minimization."""
 
+import hashlib
 from random import Random
 
 import pytest
@@ -39,7 +40,7 @@ def test_enumeration_oracle_matches_membership():
 
 def test_bounded_relation_single_cycle():
     up = slps_of([ZERO, ZERO], [V(0, 1)])
-    states = fuzzing.bounded_relation(fuzzing._lps_blocks(up), 6)
+    states = fuzzing.bounded_relation(fuzzing._block_summaries(up), 6)
     effects = {(ex, ey) for (_, ex, ey, _, _) in states}
     assert effects == {(0, n) for n in range(5)}  # two zero letters + up to 4 turns
 
@@ -106,6 +107,44 @@ def test_lost_target_matches_per_source_reference():
     assert lost >= 2000
 
 
+def _thresholds_by_source(drops):
+    """Per-source reference: the least source y that some drop admits."""
+    return [
+        min([max(0, -dy) for dx, dy in drops if sx + dx >= 0] + [9]) for sx in range(9)
+    ]
+
+
+def test_thresholds_match_the_per_source_definition():
+    assert fuzzing._thresholds(()) == [9] * 9
+    assert fuzzing._thresholds([(-9, 0), (-20, -1)]) == [9] * 9  # dx < -8 admits no source
+    assert fuzzing._thresholds([(0, 3)]) == [0] * 9  # dy > 0
+    rng = Random(23)
+    for _ in range(5000):
+        drops = [
+            (rng.randint(-12, 3), rng.randint(-12, 3)) for _ in range(rng.randint(0, 5))
+        ]
+        assert fuzzing._thresholds(drops) == _thresholds_by_source(drops), drops
+
+
+def test_lost_target_skips_effects_outside_the_box():
+    rng = Random(24)
+    lost = skipped = 0
+    for _ in range(3000):
+        origin, union = {}, {}
+        for _ in range(rng.randint(1, 6)):
+            # about a third of the effects cannot land in [0,48]^2 from any source
+            eff = (rng.randint(-14, 54), rng.randint(-14, 54))
+            skipped += not (-8 <= eff[0] <= 48 and -8 <= eff[1] <= 48)
+            drops = {(rng.randint(-10, 0), rng.randint(-10, 0)) for _ in range(rng.randint(1, 3))}
+            origin[eff] = _pareto(drops)
+            if rng.random() < 0.5:
+                union[eff] = _pareto({(min(dx + rng.randint(-3, 1), 0), dy) for dx, dy in drops})
+        expected = _lost_by_sources(origin, union)
+        assert fuzzing._lost_target(origin, union) == expected, (origin, union)
+        lost += expected is not None
+    assert lost >= 1000 and skipped >= 3000
+
+
 @pytest.mark.parametrize(
     "scheme, dropped, violation",
     [
@@ -149,3 +188,34 @@ def test_minimize_shrinks_vector_sets(monkeypatch):
 
     small = fuzzing.minimize(target, big, fails_if_contains_antiparallel)
     assert len(small) == 2 and fuzzing.oracle_cone_contains_zero(small)
+
+
+# sha256 of repr(run_target(target, n, seed).cases), which no string hash
+# seed changes (Vass renders its state sets sorted); a change of these
+# values means a generator draws differently from its Random
+CASE_STREAMS = {
+    "lemma1": (60, 1, "e2e04c3830b57bcb95b3a88eef791705059c8743ca9384b9fdba828652bb9c1d"),
+    "lemma2": (60, 2, "db4426de2daa2aee48906b6a1c0e550a729796921c6af86c968585f50c3c07c9"),
+    "lemma3": (60, 3, "ff502a25f151b516ec167f7bf626551c039eb07d542a7a081a31ea631cf276f1"),
+    "lemma4": (60, 4, "725d0edd065e76f4c48925ece5e794781e8d1d62bc114d57639bd15696433480"),
+    "lemma6": (30, 5, "e686381be2178192ae52428da48e1cf59ebfa371a05f205c60ddb7504191c21f"),
+    "thm5": (30, 6, "42e4ebcc41a82f397cc19f734172d02853085cd4ccfa89dd82b53a3891529423"),
+    "thm6": (30, 7, "89acee84bd46e1e6fd5b312e0397ef8a58e46dc1c4b3fe508171c67f5a75f49f"),
+    "thm7": (20, 8, "03fb0010f2d336b7e34cde0faaaf013564fc9cd998dcb2bf304a20258477d0b2"),
+    "thm8": (10, 9, "a1bea4bb697836da5c2e0d2927a7df6a9c4c9a4f2df54474b8d465653b2953e3"),
+    "thm9": (30, 10, "6c4cfc8e0d87d25483464d67bc77c858d4a50074ad41a4bf94dfa9504522ddaf"),
+    "thm12": (25, 11, "bb878b030dafd45d48be629cb7e9dcc3461e9d3f37341d4d26d12b5cc70c9c00"),
+    "decider": (40, 12, "20bd0ded133520ef4d0adcbea5cc180569fa4ba809b4d8d1fb3a9fb1ebace5b4"),
+}
+
+
+def test_every_target_but_thm10_is_pinned():
+    assert set(CASE_STREAMS) == set(fuzzing.TARGETS) - {"thm10"}
+
+
+@pytest.mark.parametrize("target", sorted(CASE_STREAMS))
+def test_case_stream_is_pinned(target):
+    iterations, seed, digest = CASE_STREAMS[target]
+    report = fuzzing.run_target(target, iterations, seed)
+    assert not report.failures
+    assert hashlib.sha256(repr(report.cases).encode()).hexdigest() == digest

@@ -1,8 +1,11 @@
 """Path-shortening operations and their certificates."""
 
+from random import Random
+
 import pytest
 
 from vasskit import (
+    BudgetExceededError,
     Configuration,
     PlaneVector,
     PreconditionError,
@@ -18,6 +21,8 @@ from vasskit import (
     shortening_violation,
     slps_of,
 )
+from vasskit import core, shortening
+from vasskit.core import effect, instantiate, run
 
 V = PlaneVector
 UP = slps_of([ZERO, ZERO], [V(0, 1)])  # (0,0) [(0,1)]* (0,0)
@@ -212,3 +217,86 @@ def test_shortening_violation_catches_tampering():
     assert shortening_violation(bad) is not None
     not_proper = Shortening(good.scheme, good.original, good.original, ZERO, good.source)
     assert shortening_violation(not_proper) is not None
+
+
+def _word_level_violation(sh):
+    """Reference: the same checks in the same order, on built words."""
+    k = sh.scheme.K
+    if len(sh.original) != k or len(sh.reduced) != k:
+        return "exponent-count mismatch with scheme"
+    if any(n < 0 for n in sh.reduced):
+        return "negative exponent in reduced path"
+    if any(r > o for r, o in zip(sh.reduced, sh.original)):
+        return "reduced path is not a subword (exponent exceeds original)"
+    if sum(sh.reduced) >= sum(sh.original):
+        return "reduced path is not a proper subword (nothing deleted)"
+    original_word = instantiate(sh.scheme, sh.original)
+    reduced_word = instantiate(sh.scheme, sh.reduced)
+    if effect(original_word) - effect(reduced_word) != sh.delta:
+        return "effect difference does not equal delta"
+    if not run(reduced_word, sh.source).admissible:
+        return "reduced path is not admissible from the source"
+    return None
+
+
+def _perturbed_shortening(rng):
+    k = rng.randint(0, 3)
+    letters = [V(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2 * k + 1)]
+    scheme = slps_of(letters[: k + 1], letters[k + 1 :])
+    original = [rng.randint(0, 8) for _ in range(k)]
+    reduced = [max(0, n - rng.choice((0, 0, 1, 2, rng.randint(0, 8)))) for n in original]
+    delta = effect(instantiate(scheme, original)) - effect(instantiate(scheme, reduced))
+    shape = rng.randrange(12)
+    if shape == 0 and k:
+        reduced[rng.randrange(k)] = -rng.randint(1, 3)
+    elif shape == 1 and k:
+        reduced[rng.randrange(k)] = original[rng.randrange(k)] + rng.randint(1, 3)
+    elif shape == 2:
+        reduced = list(original)
+    elif shape == 3:
+        delta = delta + V(rng.choice((-1, 0, 1)), rng.choice((-1, 1)))
+    elif shape == 4:
+        (original if rng.random() < 0.5 else reduced).append(rng.randint(0, 3))
+    source = Configuration(rng.randint(0, 10), rng.randint(0, 10))
+    return Shortening(scheme, tuple(original), tuple(reduced), delta, source)
+
+
+def test_shortening_violation_matches_the_word_level_reference():
+    rng = Random(31)
+    seen = {}
+    for _ in range(10_000):
+        sh = _perturbed_shortening(rng)
+        reason = shortening_violation(sh)
+        assert reason == _word_level_violation(sh), sh
+        seen[reason] = seen.get(reason, 0) + 1
+    assert set(seen) == {
+        None,
+        "exponent-count mismatch with scheme",
+        "negative exponent in reduced path",
+        "reduced path is not a subword (exponent exceeds original)",
+        "reduced path is not a proper subword (nothing deleted)",
+        "effect difference does not equal delta",
+        "reduced path is not admissible from the source",
+    }
+    assert min(seen.values()) >= 200
+
+
+def test_shortening_violation_builds_no_word(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a word was built or run")
+
+    members = cut_by_vector(UP, (3,), Configuration(6, 6), 1, V(0, 1)).members
+    monkeypatch.setattr(shortening, "instantiate", refuse)
+    monkeypatch.setattr(shortening, "run", refuse)
+    monkeypatch.setattr(core, "instantiate", refuse)
+    monkeypatch.setattr(core, "run", refuse)
+    assert shortening_violation(members[1]) is None
+    huge = Shortening(UP, (10**19,), (0,), V(0, 10**19), Configuration(0, 0))
+    message = f"path of {10**19 + 2} letters exceeds the limit of {core.MAX_PATH_LENGTH}"
+    with pytest.raises(BudgetExceededError) as info:
+        shortening_violation(huge)
+    assert str(info.value) == message
+    monkeypatch.setattr(core, "MAX_PATH_LENGTH", 5)
+    assert shortening_violation(Shortening(UP, (3,), (2,), V(0, 1), Configuration(0, 0))) is None
+    with pytest.raises(BudgetExceededError, match="path of 6 letters exceeds the limit of 5"):
+        shortening_violation(Shortening(UP, (4,), (2,), V(0, 2), Configuration(0, 0)))

@@ -240,14 +240,7 @@ def instantiate(scheme: Lps, exponents: SchemePath) -> Word:
     Raises BudgetExceededError, before building anything, for a word
     longer than MAX_PATH_LENGTH letters.
     """
-    if len(exponents) != scheme.K:
-        raise PreconditionError(
-            f"scheme has {scheme.K} cycles but {len(exponents)} exponents were given"
-        )
-    for n in exponents:
-        if n < 0:
-            raise PreconditionError(f"exponents must be non-negative, got {n}")
-    require_path_length(scheme, exponents)
+    require_path(scheme, exponents)
     letters: list[PlaneVector] = list(scheme.alphas[0])
     for i, n in enumerate(exponents):
         letters.extend(scheme.betas[i] * n)
@@ -262,8 +255,17 @@ def path_length(scheme: Lps, exponents: SchemePath) -> int:
     )
 
 
-def require_path_length(scheme: Lps, exponents: SchemePath) -> None:
-    """Raise BudgetExceededError for a path longer than MAX_PATH_LENGTH letters."""
+def require_path(scheme: Lps, exponents: SchemePath) -> None:
+    """Check a scheme path before anything is built from it: one exponent
+    per cycle and none negative (PreconditionError), and at most
+    MAX_PATH_LENGTH letters (BudgetExceededError)."""
+    if len(exponents) != scheme.K:
+        raise PreconditionError(
+            f"scheme has {scheme.K} cycles but {len(exponents)} exponents were given"
+        )
+    for n in exponents:
+        if n < 0:
+            raise PreconditionError(f"exponents must be non-negative, got {n}")
     length = path_length(scheme, exponents)
     if length > MAX_PATH_LENGTH:
         raise BudgetExceededError(f"path of {length} letters exceeds the limit of {MAX_PATH_LENGTH}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import accumulate
 from random import Random
 from typing import Callable, Iterable, Optional
 
@@ -23,9 +24,7 @@ from .core import (
     Slps,
     Vass,
     ZERO,
-    effect,
     instantiate,
-    run,
     slps_of,
 )
 from .errors import BudgetExceededError, PreconditionError, VasskitError
@@ -363,7 +362,7 @@ def _gen_thm6(rng: Random):
         key=lambda i: scheme.beta_vec(i).y,
     )
     while True:
-        delta = effect(instantiate(scheme, tuple(exponents)))
+        _length, delta, _drop = path_profile(scheme, exponents)
         if all(s * delta.x + delta.y > threshold for s in (-norm, norm)):
             break
         exponents[vertical] += 2 * norm**2
@@ -406,12 +405,13 @@ def _check_thm7(case) -> Optional[str]:
     v = result.vector
     if not (v.x < 0 < v.y):
         return f"case-2 vector {v} not up-and-left"
-    word = instantiate(scheme, exponents)
-    if word.count(v) < 2 * scheme.norm**2 * n_members:
+    uses = sum(n for i, n in enumerate(exponents) if scheme.beta_vec(i) == v)
+    uses += sum(a == (v,) for a in scheme.alphas)
+    if uses < 2 * scheme.norm**2 * n_members:
         return f"case-2 vector {v} not repeated often enough"
-    trace = run(word, source)
+    target_y = source.y + path_profile(scheme, exponents)[1].y
     bound = 7 * (k + 2) * (corridor + 1) * scheme.norm**5
-    value = cones.rotate_ccw(v).dot(PlaneVector(source.x, -trace.target.y))
+    value = cones.rotate_ccw(v).dot(PlaneVector(source.x, -target_y))
     if value >= bound:
         return f"case-2 inequality fails: {value} >= {bound}"
     return None
@@ -641,38 +641,40 @@ def path_profile(scheme: Lps, reps) -> tuple[int, PlaneVector, PlaneVector]:
     return ln, PlaneVector(ex, ey), PlaneVector(dx, dy)
 
 
-def _compress(states, by_eff: Optional[dict[tuple, list]] = None) -> dict[tuple, list]:
-    """Per effect, the Pareto-maximal drop pairs among ``states``; enough
-    to answer every admissibility query.  Given ``by_eff``, the fronts of
-    earlier states, it adds ``states`` to them in place."""
-    by_eff = {} if by_eff is None else by_eff
-    for (_ln, ex, ey, dx, dy) in states:
-        drops = by_eff.setdefault((ex, ey), [])
-        if any(qx >= dx and qy >= dy for qx, qy in drops):
-            continue
-        drops[:] = [(qx, qy) for qx, qy in drops if not (dx >= qx and dy >= qy)]
-        drops.append((dx, dy))
-    return by_eff
-
-
 _SOURCES = range(0, 9)  # both source coordinates range over 0..8
 _BOX = 48  # targets are kept only inside [0, 48]^2
+_NO_SOURCE = (len(_SOURCES),) * len(_SOURCES)
 
 
-def _thresholds(drops) -> list[int]:
-    """For each source x in _SOURCES, the least source y >= 0 that some
-    drop in ``drops`` admits (len(_SOURCES) when none does).
+def _least_sources(states, buckets: Optional[dict[tuple, list]] = None) -> dict[tuple, list]:
+    """Per effect of ``states``, one bucket per source x in _SOURCES: the
+    least source y >= 0 admitted by a drop whose least admitted source x
+    is that x (len(_SOURCES) when there is none).  Given ``buckets``, it
+    adds ``states`` to them in place.
 
-    A drop (dx, dy) admits every source x >= max(0, -dx), so it is
-    bucketed at that x and the answer is a prefix minimum."""
-    out = [len(_SOURCES)] * len(_SOURCES)
-    for dx, dy in drops:
-        sx = max(0, -dx)
+    A drop (dx, dy) admits a source (x, y) exactly when x >= max(0, -dx)
+    and y >= max(0, -dy), so it lowers bucket max(0, -dx) to max(0, -dy).
+    A dominated drop never lowers a prefix minimum of the buckets, so they
+    answer every admissibility query that the Pareto-maximal drops would.
+    """
+    buckets = {} if buckets is None else buckets
+    for (_ln, ex, ey, dx, dy) in states:
+        sx = -dx if dx < 0 else 0
         if sx < len(_SOURCES):
-            out[sx] = min(out[sx], max(0, -dy))
-    for sx in _SOURCES[1:]:
-        out[sx] = min(out[sx], out[sx - 1])
-    return out
+            row = buckets.get((ex, ey))
+            if row is None:
+                row = buckets[ex, ey] = list(_NO_SOURCE)
+            sy = -dy if dy < 0 else 0
+            if sy < row[sx]:
+                row[sx] = sy
+    return buckets
+
+
+def _thresholds(buckets, effect) -> list[int]:
+    """For each source x in _SOURCES, the least source y >= 0 that some
+    drop of ``effect`` admits (len(_SOURCES) when none does): the prefix
+    minimum of its buckets, since a drop admitting x admits every larger x."""
+    return list(accumulate(buckets.get(effect, _NO_SOURCE), min))
 
 
 def _lost_target(origin, union) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
@@ -680,20 +682,20 @@ def _lost_target(origin, union) -> Optional[tuple[tuple[int, int], tuple[int, in
     origin reaches a target in [0,48]^2 that the union does not, with the
     least such target; None when no target is lost.
 
-    Both arguments map an effect to its Pareto-maximal drops.  A source s
-    admits a drop d when s + d >= 0, so for a fixed source x the sources
-    y a set of drops admits form an up-set {y : y >= threshold(x)}.
-    Distinct effects give distinct targets from one source, so effect e
-    loses its target at (x, y) exactly when the origin's threshold <= y <
-    the union's threshold and (x, y) + e lies in the box.  An effect
-    that lands outside the box from every source is skipped.
+    Both arguments map an effect to its buckets (``_least_sources``).  For
+    a fixed source x the sources y that a set of drops admits form an
+    up-set {y : y >= threshold(x)}.  Distinct effects give distinct
+    targets from one source, so effect e loses its target at (x, y)
+    exactly when the origin's threshold <= y < the union's threshold and
+    (x, y) + e lies in the box.  An effect that lands outside the box from
+    every source is skipped.
     """
     best = None
-    for (ex, ey), drops in origin.items():
+    for ex, ey in origin:
         if not (-_SOURCES[-1] <= ex <= _BOX and -_SOURCES[-1] <= ey <= _BOX):
             continue
-        here = _thresholds(drops)
-        there = _thresholds(union.get((ex, ey), ()))
+        here = _thresholds(origin, (ex, ey))
+        there = _thresholds(union, (ex, ey))
         for sx in _SOURCES:
             if not 0 <= sx + ex <= _BOX:
                 continue
@@ -717,8 +719,8 @@ def _check_thm12(scheme: Lps) -> Optional[str]:
             return f"member norm {member.scheme.norm} exceeds 2*norm*|L|"
     max_len = 40
     origin_blocks = _block_summaries(scheme)
-    origin_compressed = _compress(bounded_relation(origin_blocks, max_len))
-    union_compressed: dict[tuple, list] = {}
+    origin_sources = _least_sources(bounded_relation(origin_blocks, max_len))
+    union_sources: dict[tuple, list] = {}
     for member in members:
         member_states = bounded_relation(_block_summaries(member.scheme), max_len)
         # every member path must map to a genuine origin path: same
@@ -732,8 +734,8 @@ def _check_thm12(scheme: Lps) -> Optional[str]:
                 return f"profile {member.profile}: origin drop {PlaneVector(odx, ody)} != ({dx},{dy})"
             if oln > max(ln, 1) * size:
                 return f"profile {member.profile}: origin length {oln} exceeds |path|*|L|"
-        _compress(member_states, union_compressed)
-    lost = _lost_target(origin_compressed, union_compressed)
+        _least_sources(member_states, union_sources)
+    lost = _lost_target(origin_sources, union_sources)
     if lost is not None:
         (sx, sy), target = lost
         return f"target {target} from ({sx},{sy}) lost by the split"

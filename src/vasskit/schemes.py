@@ -30,7 +30,7 @@ from .core import (
     run,
 )
 from .decide import decide_capped_bfs
-from .errors import InternalDefectError
+from .errors import BudgetExceededError, InternalDefectError
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,24 @@ def _assemble_simple(groups: list[list[PlaneVector]], cycles) -> tuple[Slps, tup
     return scheme, tuple(origins)
 
 
+# the most simple schemes ``split_lps`` builds (3^10 take about 300 MiB)
+MAX_SPLIT_MEMBERS = 3**10
+
+
 def split_lps(scheme: Lps) -> tuple[SlpsMember, ...]:
     """Split a general scheme into simple schemes, one per cycle-usage
     profile (0, 1 or >=2 uses), preserving the union of reachability
-    relations."""
+    relations.
+
+    Raises BudgetExceededError, before building anything, when the 3^K
+    members would be more than MAX_SPLIT_MEMBERS.
+    """
     k = scheme.K
+    if 3**k > MAX_SPLIT_MEMBERS:
+        raise BudgetExceededError(
+            f"splitting {k} cycles makes {3**k} simple schemes,"
+            f" more than the limit of {MAX_SPLIT_MEMBERS}"
+        )
     members = []
     for profile in product((0, 1, 2), repeat=k):
         groups: list[list[PlaneVector]] = [list(scheme.alphas[0])]

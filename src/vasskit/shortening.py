@@ -6,10 +6,20 @@ operations here return certificates (original and reduced exponents plus
 the delta) that are re-validated independently in O(K) steps, without
 building a word: the effect difference is the sum of (o_i - r_i) * beta_i,
 and the reduced run is admissible exactly when its 2K+2 corners are, the
-points where a segment or a cycle's stretch of repetitions ends.  The
-check is exact because a single-letter cycle moves in a straight line, so
-each coordinate takes its least value over a stretch at one of its ends;
-it never relies on the construction being correct.
+points where a segment or a cycle's stretch of repetitions ends.
+
+The operations build no word or run either.  They read a path
+a0 b1^n1 a1 ... bK^nK aK as its 2K+1 straight stretches from a start
+point (``_Path``): a stretch of n letters v visits p + j*v, j = 1..n, so
+each coordinate is linear in j.  Hence every question an operation asks
+has an exact integer answer per stretch: where a margin, corridor or band
+first fails (a half-plane condition first fails at an index found by one
+floor division), where the path first re-enters a corridor and which
+runs of points stay in it, how many repetitions of each cycle a range of
+letters holds, and the point at an index.  Each coordinate takes its
+extremes over a stretch at its ends, and so does the infinity norm its
+largest value (it is convex along a straight line), so the corner checks
+are exact.  The check never relies on the construction being correct.
 
 Shortenings are represented as exponent decrements only: unstarred
 segments are never touched, which suffices because every construction
@@ -18,7 +28,6 @@ deletes whole cycle repetitions.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,13 +35,10 @@ from .cones import cone_contains, rotate_ccw, zero_combination
 from .core import (
     Configuration,
     PlaneVector,
-    Run,
     SchemePath,
     Slps,
     ZERO,
-    instantiate,
-    require_path_length,
-    run,
+    require_path,
 )
 from .errors import InternalDefectError, PreconditionError
 
@@ -64,7 +70,7 @@ def shortening_violation(sh: Shortening) -> Optional[str]:
         return "reduced path is not a subword (exponent exceeds original)"
     if sum(sh.reduced) >= sum(sh.original):
         return "reduced path is not a proper subword (nothing deleted)"
-    require_path_length(sh.scheme, sh.original)
+    require_path(sh.scheme, sh.original)
     dx = dy = 0
     for i, (o, r) in enumerate(zip(sh.original, sh.reduced)):
         beta = sh.scheme.beta_vec(i)
@@ -122,26 +128,130 @@ def cycles_repeated_at_least(scheme: Slps, exponents: SchemePath, bound: int) ->
 
 
 # ---------------------------------------------------------------------------
-# internal path views: letters with cycle tags
+# internal path view: straight stretches
 
 
-def _tagged_letters(scheme: Slps, exponents: SchemePath):
-    """Instantiated letters paired with the index of the cycle each
-    repetition came from (None for unstarred letters)."""
-    letters = instantiate(scheme, exponents)
-    tags: list[Optional[int]] = [None]
+def _first_below(f0: int, d: int, bound: int, k: int) -> Optional[int]:
+    """The least j >= k with f0 + j*d < bound; None when there is none."""
+    if f0 + k * d < bound:
+        return k
+    if d >= 0:
+        return None
+    return (f0 - bound) // -d + 1
+
+
+class _Path:
+    """A path read as straight stretches (tag, dx, dy, n) from a start
+    point: n letters (dx, dy), tag the index of the cycle they repeat or
+    None for a segment.  Point i is the point after the first i letters,
+    point 0 the start."""
+
+    def __init__(self, x: int, y: int, stretches: list):
+        self.start = PlaneVector(x, y)
+        self.stretches = stretches
+        self.bases = []  # (index, x, y) of the point before each stretch
+        i = 0
+        for _tag, dx, dy, n in stretches:
+            self.bases.append((i, x, y))
+            i, x, y = i + n, x + n * dx, y + n * dy
+        self.length, self.end = i, PlaneVector(x, y)
+
+    def _spans(self):
+        return zip(self.bases, self.stretches)
+
+    def _locate(self, i: int) -> tuple[int, int]:
+        """(j, k): point i lies k letters into stretch j."""
+        spans = enumerate(self._spans())
+        return next((j, i - i0) for j, ((i0, _x, _y), stretch) in spans if i <= i0 + stretch[3])
+
+    def point(self, i: int) -> PlaneVector:
+        j, k = self._locate(i)
+        (_i, x, y), (_tag, dx, dy, _n) = self.bases[j], self.stretches[j]
+        return PlaneVector(x + k * dx, y + k * dy)
+
+    def first_outside(self, lo: int, hi: Optional[int] = None, x_min=None, x_end=None, y_min=None):
+        """The first index in lo..hi (default: to the end) whose point
+        leaves x_min <= x < x_end, y_min <= y (a bound of None is absent);
+        None when every point stays inside."""
+        hi = self.length if hi is None else hi
+        for (i0, x, y), (_tag, dx, dy, n) in self._spans():
+            k_lo, k_hi = max(0, lo - i0), min(n, hi - i0)
+            if k_lo > k_hi:
+                continue
+            # each bound as f >= b on a coordinate f: x < x_end is -x >= 1 - x_end
+            rows = ((x, dx, x_min), (-x, -dx, None if x_end is None else 1 - x_end), (y, dy, y_min))
+            found = [_first_below(f0, d, b, k_lo) for f0, d, b in rows if b is not None]
+            k = min((k for k in found if k is not None), default=None)
+            if k is not None and k <= k_hi:
+                return i0 + k
+        return None
+
+    def require(self, what: str, lo: int = 0, hi: Optional[int] = None, **box) -> None:
+        """Raise PreconditionError naming the first point in lo..hi
+        outside ``box`` (the bounds of ``first_outside``)."""
+        i = self.first_outside(lo, hi, **box)
+        if i is not None:
+            raise PreconditionError(f"{what} (offending point {self.point(i)})")
+
+    def runs_left_of(self, x_end: int, lo: int) -> list[tuple[int, int]]:
+        """The maximal runs a..b of indices from ``lo`` on whose points
+        all have x < x_end, in order."""
+        runs: list[tuple[int, int]] = []
+        for (i0, x, _y), (_tag, dx, _dy, n) in self._spans():
+            k_lo = max(0, lo - i0)
+            a = _first_below(x, dx, x_end, k_lo) if k_lo <= n else None
+            if a is None or a > n:
+                continue
+            b = _first_below(-x, -dx, 1 - x_end, a)
+            b = n if b is None or b > n else b - 1
+            if runs and runs[-1][1] == i0 + a:  # on through the shared corner
+                runs[-1] = (runs[-1][0], i0 + b)
+            else:
+                runs.append((i0 + a, i0 + b))
+        return runs
+
+    def counts(self, lo: int, hi: int) -> list[tuple[int, PlaneVector, int]]:
+        """(tag, letter, count) of each cycle with count > 0 letters among
+        letters lo..hi-1 (letter i leads from point i to point i+1)."""
+        out = []
+        for (i0, _x, _y), (tag, dx, dy, n) in self._spans():
+            count = min(hi, i0 + n) - max(lo, i0)
+            if tag is not None and count > 0:
+                out.append((tag, PlaneVector(dx, dy), count))
+        return out
+
+    def cut(self, i: int) -> tuple["_Path", "_Path"]:
+        """The views of points 0..i and of points i.. (re-indexed from 0)."""
+        j, k = self._locate(i)
+        (_i, x, y), (tag, dx, dy, n) = self.bases[j], self.stretches[j]
+        head = self.stretches[:j] + [(tag, dx, dy, k)]
+        tail = [(tag, dx, dy, n - k)] + self.stretches[j + 1:]
+        return _Path(self.start.x, self.start.y, head), _Path(x + k * dx, y + k * dy, tail)
+
+    def swapped(self) -> "_Path":
+        """The same path with its axes exchanged."""
+        swapped = [(tag, dy, dx, n) for tag, dx, dy, n in self.stretches]
+        return _Path(self.start.y, self.start.x, swapped)
+
+
+def _path(scheme: Slps, exponents: SchemePath, source: Configuration) -> _Path:
+    """The view of a scheme path from ``source``, once ``core.require_path``
+    accepts it."""
+    require_path(scheme, exponents)
+    a = scheme.alpha_vec(0)
+    stretches = [(None, a.x, a.y, 1)]
     for i, n in enumerate(exponents):
-        tags += [i] * n + [None]
-    return letters, tags
+        b, a = scheme.beta_vec(i), scheme.alpha_vec(i + 1)
+        stretches += [(i, b.x, b.y, n), (None, a.x, a.y, 1)]
+    return _Path(source.x, source.y, stretches)
 
 
-def _heavy_in(letters, tags, lo: int, hi: int, bound: int):
+def _heavy_in(path: _Path, lo: int, hi: int, bound: int):
     """Cycles with at least ``bound`` repetitions among letters [lo, hi).
 
     Returns (tag, vector, count) triples sorted by vector then tag.
     """
-    counts = Counter(tag for tag in tags[lo:hi] if tag is not None)
-    heavy = [(tag, letters[tags.index(tag)], n) for tag, n in counts.items() if n >= bound]
+    heavy = [item for item in path.counts(lo, hi) if item[2] >= bound]
     heavy.sort(key=lambda item: (item[1], item[0]))
     return heavy
 
@@ -224,23 +334,6 @@ def _checked_norm(scheme: Slps, count: int = 1, cycle_cap: Optional[int] = None)
     return scheme.norm
 
 
-def _require_all(points, inside, what: str) -> None:
-    """Raise PreconditionError naming the first point not ``inside``."""
-    for point in points:
-        if not inside(point):
-            raise PreconditionError(f"{what} (offending point {point})")
-
-
-def _run_with_margin(
-    scheme: Slps, exponents: SchemePath, source: Configuration, margin: int
-) -> Run:
-    """The path's run from ``source``, every visited point of which must
-    keep ``margin`` from both axes."""
-    trace = run(instantiate(scheme, exponents), source)
-    _require_all(trace.visited, lambda p: min(p.x, p.y) >= margin, f"margin {margin} violated")
-    return trace
-
-
 def _cut(
     scheme: Slps, exponents: SchemePath, source: Configuration, count: int, c: PlaneVector
 ) -> ShorteningFamily:
@@ -269,7 +362,9 @@ def cut_by_vector(
     norm = _checked_norm(scheme, count)
     if c.norm > norm:
         raise PreconditionError(f"cut vector {c} has norm above the scheme norm {norm}")
-    _run_with_margin(scheme, exponents, source, 6 * norm**3 * count)
+    margin = 6 * norm**3 * count
+    path = _path(scheme, exponents, source)
+    path.require(f"margin {margin} violated", x_min=margin, y_min=margin)
     heavy_bound = 2 * norm**2 * count
     heavy_vectors = cycles_repeated_at_least(scheme, exponents, heavy_bound)
     if not heavy_vectors:
@@ -287,15 +382,19 @@ def shorten_close_away(
     [0, corridor) x [corridor, inf) whose climb exceeds
     (cycle_cap*corridor + 1) * norm."""
     norm = _checked_norm(scheme, cycle_cap=cycle_cap)
-    trace = run(instantiate(scheme, exponents), source)
+    path = _path(scheme, exponents, source)
     where = f"corridor [0,{corridor}) x [{corridor},inf) violated"
-    _require_all(trace.visited, lambda p: 0 <= p.x < corridor and p.y >= corridor, where)
-    climb = (trace.target - source.to_vector()).y
+    path.require(where, x_min=0, x_end=corridor, y_min=corridor)
+    climb = path.end.y - source.y
     threshold = (cycle_cap * corridor + 1) * norm
     if climb <= threshold:
         raise PreconditionError(f"climb {climb} does not exceed {threshold}")
     heavy = [(i, scheme.beta_vec(i), n) for i, n in enumerate(exponents) if n >= corridor]
     gamma, tag = _vertical(heavy, "no vertical cycle repeated corridor-many times")
+    if corridor < gamma:
+        raise PreconditionError(
+            f"corridor {corridor} is narrower than the vertical cycle's height gamma = {gamma}"
+        )
     return _family(
         scheme, exponents, source, gamma, _UP, [(tag, 1)], corridor // gamma
     )
@@ -307,8 +406,10 @@ def shorten_away_both(
     """Vertical shortening for a path far from both axes whose effect is
     steeply upward for every slope in [-norm, norm]."""
     norm = _checked_norm(scheme, count, cycle_cap)
-    trace = _run_with_margin(scheme, exponents, source, 6 * norm**3 * count)
-    delta = trace.target - source.to_vector()
+    margin = 6 * norm**3 * count
+    path = _path(scheme, exponents, source)
+    path.require(f"margin {margin} violated", x_min=margin, y_min=margin)
+    delta = path.end - source.to_vector()
     threshold = (4 * cycle_cap * count + 2) * norm**4
     # linear in the slope, so checking the two endpoints is exact
     for slope in (-norm, norm):
@@ -330,18 +431,19 @@ class _AwayOtherOutcome:
     tag: Optional[int] = None
 
 
-def _away_other(letters, tags, points, corridor, count, cycle_cap, norm) -> _AwayOtherOutcome:
+def _away_other(path: _Path, corridor, count, cycle_cap, norm) -> _AwayOtherOutcome:
     """Core of the corridor-exit analysis, shared by the public operation
-    and the one-visit operation (which also applies it with axes swapped).
+    and the one-visit operation (which also applies it to a cut of its
+    path, with axes swapped).
 
-    ``points`` is the visited sequence in the working frame; thresholds
-    use the originating scheme's ``norm``.
+    ``path`` is in the working frame; thresholds use the originating
+    scheme's ``norm``.
     """
     if cycle_cap <= 0:
         raise PreconditionError("cycle bound must be positive")
     if corridor < 6 * norm**3 * count:
         raise PreconditionError(f"corridor width {corridor} below 6*norm^3*N = {6 * norm**3 * count}")
-    s, t = points[0], points[-1]
+    s, t = path.start, path.end
     if s.x < 0 or s.y >= corridor:
         raise PreconditionError(f"source {s} not in N x [0,{corridor})")
     entry_threshold = 12 * (cycle_cap + 1) * (corridor + 1) * norm**4
@@ -349,17 +451,16 @@ def _away_other(letters, tags, points, corridor, count, cycle_cap, norm) -> _Awa
         raise PreconditionError(
             f"target {t} not in [0,{corridor}) x [{entry_threshold},inf)"
         )
-    where = f"band N x [{corridor},inf) violated after the source"
-    _require_all(points[1:], lambda p: p.x >= 0 and p.y >= corridor, where)
+    path.require(f"band N x [{corridor},inf) violated after the source", 1, x_min=0, y_min=corridor)
 
-    first_return = next(i for i in range(1, len(points)) if points[i].x < corridor)
-    t_prime = points[first_return]
+    first_return = path.first_outside(1, x_min=corridor)
+    t_prime = path.point(first_return)
     case1_threshold = 6 * (cycle_cap + 1) * (corridor + 1) * norm**4
 
     if (t - t_prime).y > case1_threshold:
-        return _segment_surgery(letters, tags, points, first_return, corridor, count, norm)
+        return _segment_surgery(path, first_return, corridor, count, norm)
 
-    heavy = _heavy_in(letters, tags, 1, first_return - 1, 2 * norm**2 * count)
+    heavy = _heavy_in(path, 1, first_return - 1, 2 * norm**2 * count)
     cut = _up_cut(heavy, count, norm)
     if cut is not None:
         return cut
@@ -377,41 +478,36 @@ def _away_other(letters, tags, points, corridor, count, cycle_cap, norm) -> _Awa
     return _AwayOtherOutcome(case=2, vector=vec, tag=tag)
 
 
-def _segment_surgery(letters, tags, points, first_return, corridor, count, norm):
+def _segment_surgery(path: _Path, first_return, corridor, count, norm):
     """Locate a steeply climbing segment past the first corridor re-entry
     and shorten inside it: a confined segment yields a repeated vertical
-    cycle, an excursion yields a cut toward (0,1)."""
-    total = len(points) - 1
-    close = [points[i].x < corridor for i in range(len(points))]
+    cycle, an excursion yields a cut toward (0,1).
+
+    The segments alternate over the maximal runs of points left of the
+    corridor (the last is the target's): a run of two or more points is
+    a confined segment, and each gap between two runs is an excursion
+    from the end of one to the start of the next."""
+    runs = path.runs_left_of(corridor, first_return)
     segments = []  # (lo, hi, is_far) over point indices
-    i = first_return
-    while i < total:
-        j = i
-        while j < total and close[j + 1]:
-            j += 1
-        if j > i:
-            segments.append((i, j, False))
-            i = j
-            continue
-        j = i + 1
-        while j <= total and not close[j]:
-            j += 1
-        segments.append((i, j, True))
-        i = j
+    for (lo, hi), following in zip(runs, runs[1:] + [None]):
+        if hi > lo:
+            segments.append((lo, hi, False))
+        if following is not None:
+            segments.append((hi, following[0], True))
     for lo, hi, is_far in segments:
-        seg_cycles = {tags[k] for k in range(lo, hi) if tags[k] is not None}
-        gain = (points[hi] - points[lo]).y
-        if gain <= (len(seg_cycles) * corridor + corridor + 1) * norm + 2 * norm**4:
+        seg_cycles = len(path.counts(lo, hi))
+        gain = (path.point(hi) - path.point(lo)).y
+        if gain <= (seg_cycles * corridor + corridor + 1) * norm + 2 * norm**4:
             continue
         if not is_far:
             gamma, tag = _vertical(
-                _heavy_in(letters, tags, lo, hi, corridor),
+                _heavy_in(path, lo, hi, corridor),
                 "confined climbing segment lacks a vertical repeated cycle",
             )
             return _AwayOtherOutcome(
                 case=1, gamma=gamma, deletions=[(tag, 1)], max_n=corridor // gamma
             )
-        cut = _up_cut(_heavy_in(letters, tags, lo + 1, hi - 1, 2 * norm**2 * count), count, norm)
+        cut = _up_cut(_heavy_in(path, lo + 1, hi - 1, 2 * norm**2 * count), count, norm)
         if cut is None:
             raise InternalDefectError("excursion segment cone misses (0,1)")
         return cut
@@ -457,16 +553,10 @@ def shorten_away_other(
     and ends high inside it: either produce vertical shortenings (case 1)
     or exhibit an up-left cycle responsible for the climb (case 2)."""
     norm = _checked_norm(scheme, count, cycle_cap)
-    letters, tags = _tagged_letters(scheme, exponents)
-    points = list(run(letters, source).visited)
-    outcome = _away_other(letters, tags, points, corridor, count, cycle_cap, norm)
+    outcome = _away_other(_path(scheme, exponents, source), corridor, count, cycle_cap, norm)
     if outcome.case == 2:
         return AwayOtherResult(case=2, vector=outcome.vector)
     return AwayOtherResult(case=1, family=_up_family(scheme, exponents, source, outcome, count))
-
-
-def _swap(v: PlaneVector) -> PlaneVector:
-    return PlaneVector(v.y, v.x)
 
 
 def shorten_one_visit(
@@ -486,11 +576,10 @@ def shorten_one_visit(
         raise PreconditionError(
             f"corridor width {corridor} below 8*norm^4*N = {8 * norm**4 * count}"
         )
-    letters, tags = _tagged_letters(scheme, exponents)
-    if not 0 <= split_index <= len(letters):
+    path = _path(scheme, exponents, source)
+    if not 0 <= split_index <= path.length:
         raise PreconditionError(f"split index {split_index} outside the word")
-    points = list(run(letters, source).visited)
-    r, s, t = points[0], points[split_index], points[-1]
+    r, s, t = path.start, path.point(split_index), path.end
     if r.x >= corridor:
         raise PreconditionError(f"start {r} not left of the corridor wall {corridor}")
     if s.x < 0 or s.y >= corridor:
@@ -498,29 +587,21 @@ def shorten_one_visit(
     height = 19 * (cycle_cap + 2) * (corridor + 1) * norm**6
     if t.x >= corridor or t.y < height or t.y < r.y:
         raise PreconditionError(f"target {t} fails the height conditions (needs y >= {height} and >= {r.y})")
-    descent, ascent = points[1 : split_index + 1], points[split_index + 1 :]
-    _require_all(descent, lambda p: p.x >= corridor and p.y >= 0, "descent half leaves the right band")
-    _require_all(ascent, lambda p: p.x >= 0 and p.y >= corridor, "ascent half leaves the upper band")
+    path.require("descent half leaves the right band", 1, split_index, x_min=corridor, y_min=0)
+    path.require("ascent half leaves the upper band", split_index + 1, x_min=0, y_min=corridor)
 
-    climb = _away_other(
-        letters[split_index:], tags[split_index:], points[split_index:],
-        corridor, count, cycle_cap, norm,
-    )
+    descent, ascent = path.cut(split_index)
+    climb = _away_other(ascent, corridor, count, cycle_cap, norm)
     if climb.case == 1:
         return _up_family(scheme, exponents, source, climb, count)
 
     v, v_tag = climb.vector, climb.tag
-    swapped_letters = [_swap(w) for w in letters[:split_index]]
-    swapped_points = [_swap(p) for p in points[: split_index + 1]]
-    dive = _away_other(
-        swapped_letters, tags[:split_index], swapped_points,
-        corridor, count * norm, cycle_cap, norm,
-    )
+    dive = _away_other(descent.swapped(), corridor, count * norm, cycle_cap, norm)
     if dive.case == 1:
         w = PlaneVector(dive.gamma, 0)
         rho_deletions = [(tag, lam * (-v.x)) for tag, lam in dive.deletions]
     else:
-        w = _swap(dive.vector)
+        w = PlaneVector(dive.vector.y, dive.vector.x)
         rho_deletions = [(dive.tag, -v.x)]
     gamma = w.x * v.y - w.y * v.x
     if not 0 <= gamma <= 2 * norm**3:
@@ -535,11 +616,14 @@ def shorten_far(
     """Delete a zero-effect bundle of cycle repetitions from a path that
     wanders much further from the axes than its endpoints."""
     norm = _checked_norm(scheme, cycle_cap=cycle_count)
-    trace = _run_with_margin(scheme, exponents, source, 6 * norm**3)
-    endpoint_norm = max(source.norm, trace.target.norm)
+    margin = 6 * norm**3
+    path = _path(scheme, exponents, source)
+    path.require(f"margin {margin} violated", x_min=margin, y_min=margin)
+    endpoint_norm = max(source.norm, path.end.norm)
     # strict bound norm(f) > 3*norm^2*endpoints + 7.5*norm^5*K, doubled to
-    # stay in integers
-    peak = max(p.norm for p in trace.visited)
+    # stay in integers; the norm is convex along a stretch, so its peak is
+    # at a corner
+    peak = max(max(abs(x), abs(y)) for x, y in _corners(scheme, exponents, source))
     if 2 * peak <= 6 * norm**2 * endpoint_norm + 15 * norm**5 * cycle_count:
         raise PreconditionError(
             f"peak {peak} does not exceed the far threshold for endpoints {endpoint_norm}"

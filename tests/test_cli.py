@@ -163,6 +163,18 @@ def test_path_over_the_length_limit_exits_3(tmp_path, capsys):
         )
 
 
+def test_shorten_close_away_narrower_than_its_cycle_exits_2(tmp_path, capsys):
+    # corridor // gamma is 0: no member fits, so nothing may be certified
+    f = tmp_path / "narrow.vas"
+    f.write_text("slps\nseg 0 0\ncyc 0 2\nseg 0 0\npath 10\nquery 0 1 -> 0 21\n")
+    cert = tmp_path / "narrow.cert"
+    argv = ["shorten", str(f), "--op", "close-away", "--corridor", "1", "--cert", str(cert)]
+    assert run_cli_err(argv, capsys) == (
+        2, "", "error: corridor 1 is narrower than the vertical cycle's height gamma = 2\n"
+    )
+    assert not cert.exists()
+
+
 def test_flatten(tmp_path, capsys):
     f = tmp_path / "l.vas"
     f.write_text("lps\nseg 1,0\ncyc 1,1\nseg\n")
@@ -170,6 +182,15 @@ def test_flatten(tmp_path, capsys):
     assert code == 0
     assert out.startswith("members: 3\n")
     assert out.count("# member profile=") == 3
+
+
+def test_flatten_over_the_split_limit_exits_3(tmp_path, capsys):
+    f = tmp_path / "eleven.vas"
+    f.write_text("lps\n" + "seg 1,0\ncyc 0,1\n" * 11 + "seg 0,0\n")
+    assert run_cli_err(["flatten", str(f)], capsys) == (
+        3, "", "error: splitting 11 cycles makes 177147 simple schemes,"
+        " more than the limit of 59049\n"
+    )
 
 
 def test_fuzz_clean_run(tmp_path, capsys, monkeypatch):

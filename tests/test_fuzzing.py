@@ -83,6 +83,13 @@ def _lost_by_sources(origin, union):
     return None
 
 
+def _accumulated(drops_by_effect):
+    """The drops of each effect, put through the thm12 accumulator."""
+    return fuzzing._least_sources(
+        (0, ex, ey, dx, dy) for (ex, ey), drops in drops_by_effect.items() for dx, dy in drops
+    )
+
+
 def _pareto(pairs):
     return [p for p in pairs if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in pairs)]
 
@@ -102,7 +109,9 @@ def test_lost_target_matches_per_source_reference():
         if rng.random() < 0.3:
             union[(rng.randint(-12, 12), rng.randint(-12, 12))] = [(0, 0)]
         expected = _lost_by_sources(origin, union)
-        assert fuzzing._lost_target(origin, union) == expected, (origin, union)
+        assert fuzzing._lost_target(_accumulated(origin), _accumulated(union)) == expected, (
+            origin, union
+        )
         lost += expected is not None
     assert lost >= 2000
 
@@ -114,16 +123,20 @@ def _thresholds_by_source(drops):
     ]
 
 
+def _thresholds(drops):
+    return fuzzing._thresholds(_accumulated({(0, 0): drops}), (0, 0))
+
+
 def test_thresholds_match_the_per_source_definition():
-    assert fuzzing._thresholds(()) == [9] * 9
-    assert fuzzing._thresholds([(-9, 0), (-20, -1)]) == [9] * 9  # dx < -8 admits no source
-    assert fuzzing._thresholds([(0, 3)]) == [0] * 9  # dy > 0
+    assert _thresholds(()) == [9] * 9
+    assert _thresholds([(-9, 0), (-20, -1)]) == [9] * 9  # dx < -8 admits no source
+    assert _thresholds([(0, 3)]) == [0] * 9  # dy > 0
     rng = Random(23)
     for _ in range(5000):
         drops = [
             (rng.randint(-12, 3), rng.randint(-12, 3)) for _ in range(rng.randint(0, 5))
         ]
-        assert fuzzing._thresholds(drops) == _thresholds_by_source(drops), drops
+        assert _thresholds(drops) == _thresholds_by_source(drops), drops
 
 
 def test_lost_target_skips_effects_outside_the_box():
@@ -140,7 +153,9 @@ def test_lost_target_skips_effects_outside_the_box():
             if rng.random() < 0.5:
                 union[eff] = _pareto({(min(dx + rng.randint(-3, 1), 0), dy) for dx, dy in drops})
         expected = _lost_by_sources(origin, union)
-        assert fuzzing._lost_target(origin, union) == expected, (origin, union)
+        assert fuzzing._lost_target(_accumulated(origin), _accumulated(union)) == expected, (
+            origin, union
+        )
         lost += expected is not None
     assert lost >= 1000 and skipped >= 3000
 

@@ -54,6 +54,20 @@ def test_split_lps_counts_and_bounds():
         assert member.scheme.norm <= 2 * scheme.norm * size
 
 
+def test_split_lps_refuses_too_many_members_before_building_any(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a member was built")
+
+    two = Lps(((), (), ()), ((V(1, 0),), (V(0, 1),)))
+    monkeypatch.setattr(schemes, "MAX_SPLIT_MEMBERS", 9)
+    assert len(split_lps(two)) == 9  # exactly at the limit
+    monkeypatch.setattr(schemes, "_assemble_simple", refuse)
+    three = Lps(((), (), (), ()), ((V(1, 0),), (V(0, 1),), (V(1, 1),)))
+    with pytest.raises(BudgetExceededError) as info:
+        split_lps(three)
+    assert str(info.value) == "splitting 3 cycles makes 27 simple schemes, more than the limit of 9"
+
+
 def test_split_lps_origin_mapping():
     scheme = Lps(((), ()), ((V(1, -2), V(0, 1)),))
     by_profile = {m.profile: m for m in split_lps(scheme)}

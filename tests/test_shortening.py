@@ -1,5 +1,8 @@
 """Path-shortening operations and their certificates."""
 
+import os
+import sys
+from collections import Counter
 from random import Random
 
 import pytest
@@ -21,7 +24,8 @@ from vasskit import (
     shortening_violation,
     slps_of,
 )
-from vasskit import core, shortening
+from conftest import GOLDENS_DIR, golden_argv
+from vasskit import cli, core, shortening
 from vasskit.core import effect, instantiate, run
 
 V = PlaneVector
@@ -81,6 +85,15 @@ def test_shorten_close_away_boundary():
 def test_shorten_close_away_corridor_violation():
     with pytest.raises(PreconditionError):
         shorten_close_away(UP, (5,), Configuration(2, 2), 2, 1)  # x reaches the wall
+
+
+def test_shorten_close_away_refuses_a_corridor_narrower_than_its_cycle():
+    # corridor // gamma would be 0, an empty family
+    tall = slps_of([ZERO, ZERO], [V(0, 2)])
+    with pytest.raises(PreconditionError) as info:
+        shorten_close_away(tall, (10,), Configuration(0, 1), 1, 1)
+    assert str(info.value) == "corridor 1 is narrower than the vertical cycle's height gamma = 2"
+    assert set(shorten_close_away(tall, (10,), Configuration(0, 2), 2, 1).members) == {1}
 
 
 def test_shorten_away_both():
@@ -286,8 +299,6 @@ def test_shortening_violation_builds_no_word(monkeypatch):
         raise AssertionError("a word was built or run")
 
     members = cut_by_vector(UP, (3,), Configuration(6, 6), 1, V(0, 1)).members
-    monkeypatch.setattr(shortening, "instantiate", refuse)
-    monkeypatch.setattr(shortening, "run", refuse)
     monkeypatch.setattr(core, "instantiate", refuse)
     monkeypatch.setattr(core, "run", refuse)
     assert shortening_violation(members[1]) is None
@@ -300,3 +311,135 @@ def test_shortening_violation_builds_no_word(monkeypatch):
     assert shortening_violation(Shortening(UP, (3,), (2,), V(0, 1), Configuration(0, 0))) is None
     with pytest.raises(BudgetExceededError, match="path of 6 letters exceeds the limit of 5"):
         shortening_violation(Shortening(UP, (4,), (2,), V(0, 2), Configuration(0, 0)))
+
+
+class _LetterPath:
+    """Letter-level reference for ``shortening._Path``: the word, each
+    letter's cycle tag (None for a segment letter) and the visited points."""
+
+    def __init__(self, letters, tags, points):
+        self.letters, self.tags, self.points = list(letters), list(tags), list(points)
+
+    @classmethod
+    def of(cls, scheme, exponents, source):
+        letters = instantiate(scheme, exponents)
+        tags = [None]
+        for i, n in enumerate(exponents):
+            tags += [i] * n + [None]
+        return cls(letters, tags, run(letters, source).visited)
+
+    def first_outside(self, lo, hi, x_min, x_end, y_min):
+        def inside(p):
+            return (
+                (x_min is None or p.x >= x_min)
+                and (x_end is None or p.x < x_end)
+                and (y_min is None or p.y >= y_min)
+            )
+
+        hi = len(self.points) - 1 if hi is None else hi
+        return next((i for i in range(lo, hi + 1) if not inside(self.points[i])), None)
+
+    def runs_left_of(self, x_end, lo):
+        runs = []
+        for i in range(lo, len(self.points)):
+            if self.points[i].x < x_end:
+                if runs and runs[-1][1] == i - 1:
+                    runs[-1] = (runs[-1][0], i)
+                else:
+                    runs.append((i, i))
+        return runs
+
+    def counts(self, lo, hi):
+        counted = Counter(t for t in self.tags[max(lo, 0):max(hi, 0)] if t is not None)
+        return sorted((t, self.letters[self.tags.index(t)], n) for t, n in counted.items())
+
+    def cut(self, i):
+        head = _LetterPath(self.letters[:i], self.tags[:i], self.points[: i + 1])
+        return head, _LetterPath(self.letters[i:], self.tags[i:], self.points[i:])
+
+    def swapped(self):
+        return _LetterPath(
+            [V(v.y, v.x) for v in self.letters], self.tags, [V(p.y, p.x) for p in self.points]
+        )
+
+
+def _bound(rng, lo, hi):
+    return None if rng.random() < 0.25 else rng.randint(lo, hi)
+
+
+def _compare_views(rng, view, ref):
+    """Every question the view answers, against the letter-level reference."""
+    length = len(ref.letters)
+    assert (view.length, view.start, view.end) == (length, ref.points[0], ref.points[-1])
+    assert [view.point(i) for i in range(length + 1)] == ref.points
+    for _ in range(4):
+        lo = rng.randint(0, length + 1)
+        hi = None if rng.random() < 0.5 else rng.randint(lo - 1, length)
+        box = {
+            "x_min": _bound(rng, -4, 12), "x_end": _bound(rng, -4, 14), "y_min": _bound(rng, -4, 12),
+        }
+        assert view.first_outside(lo, hi, **box) == ref.first_outside(lo, hi, **box)
+        x_end, start = rng.randint(-4, 14), rng.randint(0, length + 1)
+        assert view.runs_left_of(x_end, start) == ref.runs_left_of(x_end, start)
+        lo, hi = rng.randint(-1, length + 1), rng.randint(-1, length + 1)
+        assert sorted(view.counts(lo, hi)) == ref.counts(lo, hi)
+
+
+def test_path_view_matches_the_letter_level_reference():
+    rng = Random(41)
+    zero_cycles = inside_cuts = 0
+    for _ in range(5000):
+        k = rng.randint(0, 3)
+        letters = [V(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2 * k + 1)]
+        scheme = slps_of(letters[: k + 1], letters[k + 1:])
+        exponents = tuple(rng.choice((0, 0, 1, rng.randint(0, 8))) for _ in range(k))
+        source = Configuration(rng.randint(0, 10), rng.randint(0, 10))
+        view = shortening._path(scheme, exponents, source)
+        ref = _LetterPath.of(scheme, exponents, source)
+        corners = [V(x, y) for x, y in shortening._corners(scheme, exponents, source)]
+        assert set(corners) <= set(ref.points) and corners[-1] == ref.points[-1]
+        for key in (lambda p: p.x, lambda p: p.y):
+            assert min(map(key, corners)) == min(map(key, ref.points))
+            assert max(map(key, corners)) == max(map(key, ref.points))
+        # the norm is convex along a stretch: its peak, not its least value, is at a corner
+        assert max(p.norm for p in corners) == max(p.norm for p in ref.points)
+        _compare_views(rng, view, ref)
+        _compare_views(rng, view.swapped(), ref.swapped())
+        # cuts strictly inside a stretch split one cycle's repetitions
+        inside = [j for j in range(1, view.length) if ref.tags[j - 1] == ref.tags[j] is not None]
+        i = rng.choice(inside) if inside and rng.random() < 0.5 else rng.randint(0, view.length)
+        (head, tail), (ref_head, ref_tail) = view.cut(i), ref.cut(i)
+        _compare_views(rng, head, ref_head)
+        _compare_views(rng, tail, ref_tail)
+        _compare_views(rng, head.swapped(), ref_head.swapped())
+        zero_cycles += 0 in exponents
+        inside_cuts += i in inside
+    assert zero_cycles >= 2000 and inside_cuts >= 800
+
+
+SHORTENING_GOLDENS = sorted(
+    name for name in os.listdir(GOLDENS_DIR)
+    if name.endswith(".vas") and golden_argv(name)[0] == "shorten"
+)
+
+
+def test_no_operation_builds_a_word(monkeypatch, capsys):
+    """The six operations, one per shortening golden, print the bundled
+    expected outputs with every name bound to ``core.instantiate`` or
+    ``core.run`` made to fail."""
+
+    def refuse(*args):
+        raise AssertionError("a word was built or run")
+
+    ops = {golden_argv(name)[golden_argv(name).index("--op") + 1] for name in SHORTENING_GOLDENS}
+    assert ops == {"cut", "close-away", "away-both", "away-other", "one-visit", "far"}
+    real = (core.instantiate, core.run)
+    for name, module in sorted(sys.modules.items()):
+        if name == "vasskit" or name.startswith("vasskit."):
+            for attr, value in sorted(vars(module).items()):
+                if any(value is f for f in real):
+                    monkeypatch.setattr(module, attr, refuse)
+    for name in SHORTENING_GOLDENS:
+        assert cli.main(golden_argv(name)) == 0
+        with open(os.path.join(GOLDENS_DIR, "expected", name.replace(".vas", ".out"))) as fh:
+            assert capsys.readouterr().out == fh.read(), name

@@ -23,6 +23,7 @@ from .core import (
     slps_of,
     word_norm,
 )
+from .certificates import Shortening, shortening_violation, witness_violation
 from .cones import (
     ZeroCombination,
     cone_contains,
@@ -42,7 +43,6 @@ from .decide import (
     brute_force_oracle,
     decide_capped_bfs,
     default_cap,
-    witness_violation,
 )
 from .errors import (
     BudgetExceededError,
@@ -64,7 +64,6 @@ from .schemes import (
 )
 from .shortening import (
     AwayOtherResult,
-    Shortening,
     ShorteningFamily,
     cut_by_vector,
     cycles_repeated_at_least,
@@ -73,7 +72,6 @@ from .shortening import (
     shorten_close_away,
     shorten_far,
     shorten_one_visit,
-    shortening_violation,
 )
 
 __version__ = "1.0.0"

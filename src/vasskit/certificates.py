@@ -9,12 +9,18 @@ Three line formats exist:
 A certificate file holds one such line; verdict and result lines are
 preceded by an ``instance: <file>`` line naming the instance they answer,
 since those formats carry no file reference themselves.  Verification
-never trusts the producer: shortening invariants are re-run, witnesses
-are re-executed against the automaton, and negative answers are
-re-decided by ``brute_force_oracle``, which shares no code with the
-searches that produced them: "unreachable within cap" verdicts under the
-stated cap and bound, and simple-scheme "reachable=false" results on the
-scheme's path automaton under the cap of the simple-scheme bound.
+never trusts the producer and imports no check from its module.  A
+scheme answer is checked in O(K) steps, on the 2K+2 corners of its path
+(``_corners``) where a segment or a stretch of cycle repetitions ends:
+along a straight stretch, each coordinate's least value and the infinity
+norm's largest are at its ends.  So neither ``shortening_violation``
+(which the shortening operations also run on what they build) nor a
+``reachable=true`` result builds a word.  Verdict witnesses are re-run
+against the automaton, and negative answers are re-decided by
+``brute_force_oracle``, which shares no code with the searches that
+produced them: "unreachable within cap" verdicts under the stated cap
+and bound, and simple-scheme "reachable=false" results on the scheme's
+path automaton under the cap of the simple-scheme bound.
 """
 
 from __future__ import annotations
@@ -23,14 +29,11 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Configuration, PlaneVector, SchemePath, Slps, Vass, Word, instantiate, run
-from .decide import (
-    REACHABLE, UNREACHABLE_WITHIN_CAP, Verdict, brute_force_oracle, witness_violation,
-)
+from .core import Configuration, PlaneVector, SchemePath, Slps, Vass, Word, require_path, run
+from .decide import REACHABLE, UNREACHABLE_WITHIN_CAP, Verdict, brute_force_oracle
 from .errors import ParseError
 from .instances import load_instance, parse_pair
 from .schemes import WitnessResult, search_cap
-from .shortening import Shortening, shortening_violation
 
 
 def _fields(rest: str, lineno: Optional[int] = None) -> dict[str, str]:
@@ -53,6 +56,60 @@ def _word(text: str, lineno: Optional[int]) -> Word:
 
 # ---------------------------------------------------------------------------
 # shortening certificates
+
+
+@dataclass(frozen=True)
+class Shortening:
+    """A certificate: dropping some cycle repetitions of ``original``
+    yields ``reduced``, whose effect is smaller by ``delta`` and whose run
+    from ``source`` is admissible."""
+
+    scheme: Slps
+    original: SchemePath
+    reduced: SchemePath
+    delta: PlaneVector
+    source: Configuration
+
+
+def shortening_violation(sh: Shortening) -> Optional[str]:
+    """Check all certificate invariants; None when valid, else the first
+    violated invariant, named."""
+    k = sh.scheme.K
+    if len(sh.original) != k or len(sh.reduced) != k:
+        return "exponent-count mismatch with scheme"
+    if any(n < 0 for n in sh.reduced):
+        return "negative exponent in reduced path"
+    if any(r > o for r, o in zip(sh.reduced, sh.original)):
+        return "reduced path is not a subword (exponent exceeds original)"
+    if sum(sh.reduced) >= sum(sh.original):
+        return "reduced path is not a proper subword (nothing deleted)"
+    dx = dy = 0
+    for i, (o, r) in enumerate(zip(sh.original, sh.reduced)):
+        beta = sh.scheme.beta_vec(i)
+        dx += (o - r) * beta.x
+        dy += (o - r) * beta.y
+    if PlaneVector(dx, dy) != sh.delta:
+        return "effect difference does not equal delta"
+    if any(x < 0 or y < 0 for x, y in _corners(sh.scheme, sh.reduced, sh.source)):
+        return "reduced path is not admissible from the source"
+    return None
+
+
+def _corners(scheme: Slps, exponents: SchemePath, source: Configuration):
+    """The 2K+2 corners of the path's run (see the module docstring),
+    source first, as (x, y) pairs."""
+    x, y = source.x, source.y
+    yield x, y
+    for i in range(scheme.K + 1):
+        alpha = scheme.alpha_vec(i)
+        x += alpha.x
+        y += alpha.y
+        yield x, y
+        if i < scheme.K:
+            beta = scheme.beta_vec(i)
+            x += exponents[i] * beta.x
+            y += exponents[i] * beta.y
+            yield x, y
 
 
 @dataclass(frozen=True)
@@ -91,6 +148,32 @@ def parse_shortening(line: str, lineno: Optional[int] = None) -> ShorteningCert:
 
 # ---------------------------------------------------------------------------
 # verdict certificates
+
+
+def witness_violation(
+    vass: Vass, source: Configuration, target: Configuration, word: Word, states,
+    cap: Optional[int] = None,
+) -> Optional[str]:
+    """Check a reachability witness against the automaton and the counters
+    and, given a ``cap``, the norm of every point it visits; None when
+    valid, else the violated condition."""
+    if states is None or len(states) != len(word) + 1:
+        return "state trace length must be word length plus one"
+    if states[0] not in vass.initial:
+        return f"first state {states[0]!r} is not initial"
+    if states[-1] not in vass.accepting:
+        return f"last state {states[-1]!r} is not accepting"
+    edges = set(vass.edges)
+    for i, letter in enumerate(word):
+        if (states[i], letter, states[i + 1]) not in edges:
+            return f"no edge {states[i]} -> {states[i + 1]} with label {letter}"
+    trace = run(word, source)
+    if not trace.admissible:
+        return "witness run leaves the non-negative quadrant"
+    if trace.target != target.to_vector():
+        return f"witness run ends at {trace.target}, not {target}"
+    outside = next((p for p in trace.visited if p.norm > cap), None) if cap is not None else None
+    return None if outside is None else f"witness leaves the stated cap at {outside}"
 
 
 def serialize_verdict(v: Verdict) -> str:
@@ -213,17 +296,15 @@ def _check_verdict(verdict: Verdict, instance_file: Optional[str], lineno: int) 
         return [f"line {lineno}: verdict instance must be a vass with a query"]
     s, t = instance.query
     if verdict.kind == REACHABLE:
-        reason = witness_violation(instance.vass, s, t, verdict.witness or (), verdict.states)
-        if reason is not None:
-            return [f"line {lineno}: {reason}"]
-        if verdict.length != len(verdict.witness or ()):
-            return [f"line {lineno}: stated length does not match the witness"]
-        if verdict.bound is not None and verdict.length > verdict.bound:
-            return [f"line {lineno}: witness is longer than the stated bound"]
-        for point in run(verdict.witness or (), s).visited:
-            if point.norm > verdict.cap:
-                return [f"line {lineno}: witness leaves the stated cap at {point}"]
-        return []
+        word = verdict.witness or ()
+        late = None  # the length checks rank below the run's and above the cap's
+        if verdict.length != len(word):
+            late = "stated length does not match the witness"
+        elif verdict.bound is not None and verdict.length > verdict.bound:
+            late = "witness is longer than the stated bound"
+        cap = None if late else verdict.cap
+        reason = witness_violation(instance.vass, s, t, word, verdict.states, cap) or late
+        return [f"line {lineno}: {reason}"] if reason else []
     if verdict.kind == UNREACHABLE_WITHIN_CAP:
         floor = max(s.norm, t.norm)
         if verdict.cap < floor:
@@ -246,10 +327,12 @@ def _check_result(result: WitnessResult, instance_file: Optional[str], lineno: i
     s, t = instance.query
     scheme = instance.scheme
     if result.reachable:
-        trace = run(instantiate(scheme, result.exponents or ()), s)
-        if not trace.admissible or trace.target != t.to_vector():
+        exponents = result.exponents or ()
+        require_path(scheme, exponents)
+        corners = list(_corners(scheme, exponents, s))
+        if any(x < 0 or y < 0 for x, y in corners) or corners[-1] != (t.x, t.y):
             return [f"line {lineno}: stated exponents are not a valid witness"]
-        if result.max_visited_norm != max(p.norm for p in trace.visited):
+        if result.max_visited_norm != max(max(corner) for corner in corners):
             return [f"line {lineno}: stated maxnorm does not match the witness run"]
         return []
     again = brute_force_oracle(_path_vass(scheme), s, t, search_cap(scheme, s, t), budget=2_000_000)

@@ -229,8 +229,8 @@ def slps_of(alphas: Iterable[PlaneVector], betas: Iterable[PlaneVector]) -> Slps
 SchemePath = tuple[int, ...]
 
 
-# the longest word ``instantiate`` builds (exponents come from input files);
-# at least schemes.DEFAULT_SEARCH_BUDGET, which bounds every slps_reach witness
+# the longest path ``instantiate`` or a shortening operation takes (exponents come
+# from input files); at least schemes.DEFAULT_SEARCH_BUDGET, which bounds every slps_reach witness
 MAX_PATH_LENGTH = 5_000_000
 
 
@@ -240,7 +240,7 @@ def instantiate(scheme: Lps, exponents: SchemePath) -> Word:
     Raises BudgetExceededError, before building anything, for a word
     longer than MAX_PATH_LENGTH letters.
     """
-    require_path(scheme, exponents)
+    require_bounded_path(scheme, exponents)
     letters: list[PlaneVector] = list(scheme.alphas[0])
     for i, n in enumerate(exponents):
         letters.extend(scheme.betas[i] * n)
@@ -256,9 +256,7 @@ def path_length(scheme: Lps, exponents: SchemePath) -> int:
 
 
 def require_path(scheme: Lps, exponents: SchemePath) -> None:
-    """Check a scheme path before anything is built from it: one exponent
-    per cycle and none negative (PreconditionError), and at most
-    MAX_PATH_LENGTH letters (BudgetExceededError)."""
+    """PreconditionError unless a path has one exponent per cycle, none negative."""
     if len(exponents) != scheme.K:
         raise PreconditionError(
             f"scheme has {scheme.K} cycles but {len(exponents)} exponents were given"
@@ -266,6 +264,11 @@ def require_path(scheme: Lps, exponents: SchemePath) -> None:
     for n in exponents:
         if n < 0:
             raise PreconditionError(f"exponents must be non-negative, got {n}")
+
+
+def require_bounded_path(scheme: Lps, exponents: SchemePath) -> None:
+    """``require_path``, then BudgetExceededError past MAX_PATH_LENGTH letters."""
+    require_path(scheme, exponents)
     length = path_length(scheme, exponents)
     if length > MAX_PATH_LENGTH:
         raise BudgetExceededError(f"path of {length} letters exceeds the limit of {MAX_PATH_LENGTH}")

@@ -79,7 +79,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Configuration, PlaneVector, Vass, Word, run
+from .core import Configuration, PlaneVector, Vass, Word
 from .errors import BudgetExceededError, PreconditionError
 
 REACHABLE = "Reachable"
@@ -114,29 +114,6 @@ def default_cap(vass: Vass, source: Configuration, target: Configuration) -> int
     n = len(vass.states)
     norm = max(vass.norm, source.norm, target.norm)
     return 64 * (n + 1) * (norm + 1) ** 4
-
-
-def witness_violation(
-    vass: Vass, source: Configuration, target: Configuration, word: Word, states
-) -> Optional[str]:
-    """Check a reachability witness against the automaton and the counters;
-    None when valid, else the violated condition."""
-    if states is None or len(states) != len(word) + 1:
-        return "state trace length must be word length plus one"
-    if states[0] not in vass.initial:
-        return f"first state {states[0]!r} is not initial"
-    if states[-1] not in vass.accepting:
-        return f"last state {states[-1]!r} is not accepting"
-    edges = set(vass.edges)
-    for i, letter in enumerate(word):
-        if (states[i], letter, states[i + 1]) not in edges:
-            return f"no edge {states[i]} -> {states[i + 1]} with label {letter}"
-    trace = run(word, source)
-    if not trace.admissible:
-        return "witness run leaves the non-negative quadrant"
-    if trace.target != target.to_vector():
-        return f"witness run ends at {trace.target}, not {target}"
-    return None
 
 
 def _rebuild(parents, key, names, out, maxdeg):

@@ -24,7 +24,7 @@ from .core import (
     Slps,
     Vass,
     ZERO,
-    instantiate,
+    path_length,
     slps_of,
 )
 from .errors import BudgetExceededError, PreconditionError, VasskitError
@@ -267,7 +267,7 @@ def _validate_family(
     if not 0 <= family.gamma <= gamma_bound:
         return f"gamma {family.gamma} outside [0, {gamma_bound}]"
     for n, member in sorted(family.members.items()):
-        reason = shortening.shortening_violation(member)
+        reason = certificates.shortening_violation(member)
         if reason is not None:
             return f"member {n}: {reason}"
         if member.delta != direction.scale(n * family.gamma):
@@ -464,7 +464,7 @@ def _gen_thm9(rng: Random):
 def _check_thm9(case) -> Optional[str]:
     scheme, exponents, source, k = case
     member = shortening.shorten_far(scheme, exponents, source, k)
-    reason = shortening.shortening_violation(member)
+    reason = certificates.shortening_violation(member)
     if reason is not None:
         return reason
     if member.delta != ZERO:
@@ -492,7 +492,7 @@ def _gen_thm10(rng: Random):
 
 
 def _check_thm10(scheme) -> Optional[str]:
-    # slps_reach re-runs its witness and raises InternalDefectError on a bad one
+    # slps_reach re-checks its witness on corners and raises InternalDefectError on a bad one
     result = schemes.slps_reach(scheme, ORIGIN, ORIGIN, budget=500_000)
     if not result.reachable:
         return "witness vanished on re-search"
@@ -500,7 +500,7 @@ def _check_thm10(scheme) -> Optional[str]:
     peak = result.max_visited_norm
     if peak > bound:
         return f"visited norm {peak} exceeds the bound {bound}"
-    length = len(instantiate(scheme, result.exponents))
+    length = path_length(scheme, result.exponents)
     # the verifier's path automaton and oracle share no code with the search
     try:
         oracle = decide.brute_force_oracle(
@@ -773,7 +773,7 @@ def _check_decider(case) -> Optional[str]:
     if fast.kind == decide.REACHABLE:
         if fast.length != slow.length:
             return f"witness length {fast.length} differs from oracle {slow.length}"
-        reason = decide.witness_violation(vass, s, t, fast.witness, fast.states)
+        reason = certificates.witness_violation(vass, s, t, fast.witness, fast.states)
         if reason is not None:
             return f"witness fails validation: {reason}"
         wider = decide.decide_capped_bfs(vass, s, t, cap + 10)

@@ -14,7 +14,7 @@ self-loops, and reads the cycle exponents off the witness's state trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from typing import Optional
 
 from .core import (
@@ -26,8 +26,6 @@ from .core import (
     Vass,
     ZERO,
     effect,
-    instantiate,
-    run,
 )
 from .decide import decide_capped_bfs
 from .errors import BudgetExceededError, InternalDefectError
@@ -172,20 +170,25 @@ def slps_reach(
     to target at ``search_cap``, so a negative answer is unconditional
     and a positive one is a shortest admissible path within that cap.
     The kernel's witness spends n_i + 1 states on q_(i+1), which gives
-    cycle exponent n_i.  Raises BudgetExceededError when the levels the
-    kernel must expand hold more than ``budget`` automaton states.
+    cycle exponent n_i; its run is re-checked, and its largest visited norm
+    read, on the 2K+2 corners where its straight stretches end.  Raises
+    BudgetExceededError when the levels the kernel must expand hold more
+    than ``budget`` automaton states.
     """
     cap = search_cap(scheme, source, target)
     verdict = decide_capped_bfs(_path_automaton(scheme), source, target, cap, budget=budget)
     if verdict.states is None:
         return WitnessResult(reachable=False)
     exponents = tuple(verdict.states.count(f"q{i + 1}") - 1 for i in range(scheme.K))
-    trace = run(instantiate(scheme, exponents), source)
-    if not trace.admissible or trace.target != target.to_vector():
+    steps = [scheme.alpha_vec(0)]
+    for i, n in enumerate(exponents):
+        steps += [scheme.beta_vec(i).scale(n), scheme.alpha_vec(i + 1)]
+    corners = list(accumulate(steps, PlaneVector.__add__, initial=source.to_vector()))
+    if min(min(p.x, p.y) for p in corners) < 0 or corners[-1] != target.to_vector():
         raise InternalDefectError("search produced an invalid witness")
     return WitnessResult(
         reachable=True,
         member=0,
         exponents=exponents,
-        max_visited_norm=max(p.norm for p in trace.visited),
+        max_visited_norm=max(p.norm for p in corners),
     )

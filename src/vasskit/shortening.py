@@ -2,11 +2,10 @@
 
 A shortening deletes whole cycle repetitions from a scheme path, reducing
 its effect by a prescribed vector while keeping the run admissible.  The
-operations here return certificates (original and reduced exponents plus
-the delta) that are re-validated independently in O(K) steps, without
-building a word: the effect difference is the sum of (o_i - r_i) * beta_i,
-and the reduced run is admissible exactly when its 2K+2 corners are, the
-points where a segment or a cycle's stretch of repetitions ends.
+operations here return ``certificates.Shortening`` certificates (original
+and reduced exponents plus the delta), each checked on the way out by
+``certificates.shortening_violation``, the checker ``verify`` runs, in
+O(K) steps and without a word; this module shares no other code with it.
 
 The operations build no word or run either.  They read a path
 a0 b1^n1 a1 ... bK^nK aK as its 2K+1 straight stretches from a start
@@ -18,8 +17,8 @@ floor division), where the path first re-enters a corridor and which
 runs of points stay in it, how many repetitions of each cycle a range of
 letters holds, and the point at an index.  Each coordinate takes its
 extremes over a stretch at its ends, and so does the infinity norm its
-largest value (it is convex along a straight line), so the corner checks
-are exact.  The check never relies on the construction being correct.
+largest value (it is convex along a straight line), so the peak norm is
+read exactly off the stretch ends.
 
 Shortenings are represented as exponent decrements only: unstarred
 segments are never touched, which suffices because every construction
@@ -31,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .certificates import Shortening, shortening_violation
 from .cones import cone_contains, rotate_ccw, zero_combination
 from .core import (
     Configuration,
@@ -38,66 +38,11 @@ from .core import (
     SchemePath,
     Slps,
     ZERO,
-    require_path,
+    require_bounded_path,
 )
 from .errors import InternalDefectError, PreconditionError
 
 _UP = PlaneVector(0, 1)
-
-
-@dataclass(frozen=True)
-class Shortening:
-    """A certificate: dropping some cycle repetitions of ``original``
-    yields ``reduced``, whose effect is smaller by ``delta`` and whose run
-    from ``source`` is admissible."""
-
-    scheme: Slps
-    original: SchemePath
-    reduced: SchemePath
-    delta: PlaneVector
-    source: Configuration
-
-
-def shortening_violation(sh: Shortening) -> Optional[str]:
-    """Check all certificate invariants; None when valid, else the first
-    violated invariant, named."""
-    k = sh.scheme.K
-    if len(sh.original) != k or len(sh.reduced) != k:
-        return "exponent-count mismatch with scheme"
-    if any(n < 0 for n in sh.reduced):
-        return "negative exponent in reduced path"
-    if any(r > o for r, o in zip(sh.reduced, sh.original)):
-        return "reduced path is not a subword (exponent exceeds original)"
-    if sum(sh.reduced) >= sum(sh.original):
-        return "reduced path is not a proper subword (nothing deleted)"
-    require_path(sh.scheme, sh.original)
-    dx = dy = 0
-    for i, (o, r) in enumerate(zip(sh.original, sh.reduced)):
-        beta = sh.scheme.beta_vec(i)
-        dx += (o - r) * beta.x
-        dy += (o - r) * beta.y
-    if PlaneVector(dx, dy) != sh.delta:
-        return "effect difference does not equal delta"
-    if any(x < 0 or y < 0 for x, y in _corners(sh.scheme, sh.reduced, sh.source)):
-        return "reduced path is not admissible from the source"
-    return None
-
-
-def _corners(scheme: Slps, exponents: SchemePath, source: Configuration):
-    """The 2K+2 corners of the path's run (see the module docstring),
-    source first, as (x, y) pairs."""
-    x, y = source.x, source.y
-    yield x, y
-    for i in range(scheme.K + 1):
-        alpha = scheme.alpha_vec(i)
-        x += alpha.x
-        y += alpha.y
-        yield x, y
-        if i < scheme.K:
-            beta = scheme.beta_vec(i)
-            x += exponents[i] * beta.x
-            y += exponents[i] * beta.y
-            yield x, y
 
 
 @dataclass(frozen=True)
@@ -235,9 +180,10 @@ class _Path:
 
 
 def _path(scheme: Slps, exponents: SchemePath, source: Configuration) -> _Path:
-    """The view of a scheme path from ``source``, once ``core.require_path``
-    accepts it."""
-    require_path(scheme, exponents)
+    """The view of a scheme path from ``source``, once
+    ``core.require_bounded_path`` accepts it: the letter limit bounds the
+    families an operation builds."""
+    require_bounded_path(scheme, exponents)
     a = scheme.alpha_vec(0)
     stretches = [(None, a.x, a.y, 1)]
     for i, n in enumerate(exponents):
@@ -622,8 +568,8 @@ def shorten_far(
     endpoint_norm = max(source.norm, path.end.norm)
     # strict bound norm(f) > 3*norm^2*endpoints + 7.5*norm^5*K, doubled to
     # stay in integers; the norm is convex along a stretch, so its peak is
-    # at a corner
-    peak = max(max(abs(x), abs(y)) for x, y in _corners(scheme, exponents, source))
+    # at a stretch's base or at the end
+    peak = max([path.end.norm] + [max(abs(x), abs(y)) for _i, x, y in path.bases])
     if 2 * peak <= 6 * norm**2 * endpoint_norm + 15 * norm**5 * cycle_count:
         raise PreconditionError(
             f"peak {peak} does not exceed the far threshold for endpoints {endpoint_norm}"

@@ -1,4 +1,7 @@
 import os
+import sys
+
+from vasskit import core
 
 GOLDENS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "goldens")
 
@@ -41,3 +44,18 @@ CERTIFIED = [name for name, argv in GOLDEN_COMMANDS.items() if argv[0] != "flatt
 def golden_argv(name: str) -> list[str]:
     argv = GOLDEN_COMMANDS[name]
     return [argv[0], os.path.join(GOLDENS_DIR, name)] + argv[1:]
+
+
+def refuse_words(monkeypatch) -> None:
+    """Bind every vasskit name for ``core.instantiate`` or ``core.run`` to
+    a function that fails, so a test can show that no word is built or run."""
+
+    def refuse(*args):
+        raise AssertionError("a word was built or run")
+
+    real = (core.instantiate, core.run)
+    for name, module in sorted(sys.modules.items()):
+        if name == "vasskit" or name.startswith("vasskit."):
+            for attr, value in sorted(vars(module).items()):
+                if any(value is f for f in real):
+                    monkeypatch.setattr(module, attr, refuse)

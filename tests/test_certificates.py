@@ -1,6 +1,8 @@
 """Certificate serialization round-trips and independent re-checking."""
 
+import inspect
 import os
+import sys
 
 import pytest
 
@@ -12,6 +14,7 @@ from vasskit import (
     WitnessResult,
     ZERO,
     certificates,
+    cli,
     cut_by_vector,
     decide,
     schemes,
@@ -27,7 +30,7 @@ from vasskit.certificates import (
     verify_certificate_file,
 )
 
-from conftest import GOLDENS_DIR
+from conftest import GOLDEN_COMMANDS, GOLDENS_DIR, golden_argv, refuse_words
 
 V = PlaneVector
 UP = slps_of([ZERO, ZERO], [V(0, 1)])
@@ -142,6 +145,60 @@ def test_verify_scheme_negative_does_not_trust_slps_reach(tmp_path, monkeypatch)
     assert verify_certificate_file(str(cert)) != []
     bundled = os.path.join(GOLDENS_DIR, "certs", "g10-slps-unreach.cert")
     assert verify_certificate_file(bundled) == []
+
+
+def _bundled_certs(*kinds):
+    """The paths of the bundled certificates holding a line of one of ``kinds``."""
+    certs = os.path.join(GOLDENS_DIR, "certs")
+    paths = [os.path.join(certs, name) for name in sorted(os.listdir(certs))]
+    found = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            if any(line.startswith(kinds) for line in fh):
+                found.append(path)
+    return found
+
+
+def test_verify_does_not_trust_the_shortening_module(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify ran code of the shortening module")
+
+    for name, module in sorted(sys.modules.items()):
+        if name == "vasskit" or name.startswith("vasskit."):
+            for attr, value in sorted(vars(module).items()):
+                if inspect.isfunction(value) and value.__module__ == "vasskit.shortening":
+                    monkeypatch.setattr(module, attr, refuse)
+    bundled = _bundled_certs("shortening:")
+    assert len(bundled) == 6
+    for path in bundled:
+        assert verify_certificate_file(path) == [], path
+    # dips to y = -4: a checker that reads the producer's geometry can miss it
+    far = os.path.abspath(os.path.join(GOLDENS_DIR, "g15-shorten-far.vas"))
+    cert = tmp_path / "dip.cert"
+    cert.write_text(
+        f"instance: {far}\n"
+        f"shortening: scheme={far} original=60,60 reduced=0,10 delta=0,10 source=6,6\n"
+    )
+    assert verify_certificate_file(str(cert)) == [
+        "line 2: reduced path is not admissible from the source"
+    ]
+
+
+def test_scheme_answers_build_no_word(monkeypatch, capsys):
+    """``slps-decide`` without ``--trace`` prints the bundled outputs, and
+    every bundled result and shortening certificate verifies, with every
+    name bound to ``core.instantiate`` or ``core.run`` made to fail."""
+    refuse_words(monkeypatch)
+    decided = [name for name, argv in GOLDEN_COMMANDS.items() if argv[0] == "slps-decide"]
+    assert len(decided) == 6
+    for name in decided:
+        assert cli.main(golden_argv(name)) in (0, 1)
+        with open(os.path.join(GOLDENS_DIR, "expected", name.replace(".vas", ".out"))) as fh:
+            assert capsys.readouterr().out == fh.read(), name
+    bundled = _bundled_certs("result:", "shortening:")
+    assert len(bundled) == 12
+    for path in bundled:
+        assert verify_certificate_file(path) == [], path
 
 
 def test_verify_unknown_line(tmp_path):

@@ -152,15 +152,15 @@ def test_path_over_the_length_limit_exits_3(tmp_path, capsys):
         "slps\nseg 0 0\ncyc 0 1\nseg 0 0\ncyc 0 -1\nseg 0 0\n"
         f"path {huge} 60\nquery 6 6 -> 6 6\n"
     )
+    assert run_cli_err(["shorten", str(f), "--op", "far"], capsys) == (
+        3, "", f"error: path of {huge + 63} letters exceeds the limit of {MAX_PATH_LENGTH}\n"
+    )
+    # verify reads a result's corners, so its length is no limit there
     cert = tmp_path / "far.cert"
     cert.write_text(f"instance: far.vas\nresult: reachable=true member=0 exponents={huge},0 maxnorm=0\n")
-    for argv, length in [
-        (["shorten", str(f), "--op", "far"], huge + 63),
-        (["verify", str(cert)], huge + 3),
-    ]:
-        assert run_cli_err(argv, capsys) == (
-            3, "", f"error: path of {length} letters exceeds the limit of {MAX_PATH_LENGTH}\n"
-        )
+    assert run_cli_err(["verify", str(cert)], capsys) == (
+        1, "verify: line 2: stated exponents are not a valid witness\n", ""
+    )
 
 
 def test_shorten_close_away_narrower_than_its_cycle_exits_2(tmp_path, capsys):

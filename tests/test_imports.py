@@ -82,3 +82,20 @@ def test_every_private_definition_is_referenced():
         if not any(name in names for stmt, names in statements if stmt is not definition)
     ]
     assert unreferenced == [], f"private definitions nothing references: {unreferenced}"
+
+
+def test_certificates_imports_no_check_from_a_producer():
+    """A certificate checker imports no check from the module that
+    produced the certificate: nothing from ``shortening``, and from
+    ``decide`` only the verdict names and the independent oracle."""
+    with open(os.path.join(SRC_DIR, "certificates.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename="certificates.py")
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:  # ``from . import m`` imports all of m
+                module, name = (node.module, alias.name) if node.module else (alias.name, "*")
+                imported.setdefault(module, set()).add(name)
+    assert "shortening" not in imported
+    verdicts = {"REACHABLE", "UNREACHABLE_WITHIN_CAP", "Verdict"}
+    assert imported["decide"] <= verdicts | {"brute_force_oracle"}

@@ -1,7 +1,6 @@
 """Path-shortening operations and their certificates."""
 
 import os
-import sys
 from collections import Counter
 from random import Random
 
@@ -24,8 +23,8 @@ from vasskit import (
     shortening_violation,
     slps_of,
 )
-from conftest import GOLDENS_DIR, golden_argv
-from vasskit import cli, core, shortening
+from conftest import GOLDENS_DIR, golden_argv, refuse_words
+from vasskit import certificates, cli, core, shortening
 from vasskit.core import effect, instantiate, run
 
 V = PlaneVector
@@ -295,22 +294,19 @@ def test_shortening_violation_matches_the_word_level_reference():
 
 
 def test_shortening_violation_builds_no_word(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a word was built or run")
-
+    """The checker reads corners, so it answers a path of any length: the
+    letter limit binds only code that builds a word or a family."""
     members = cut_by_vector(UP, (3,), Configuration(6, 6), 1, V(0, 1)).members
-    monkeypatch.setattr(core, "instantiate", refuse)
-    monkeypatch.setattr(core, "run", refuse)
+    refuse_words(monkeypatch)
     assert shortening_violation(members[1]) is None
     huge = Shortening(UP, (10**19,), (0,), V(0, 10**19), Configuration(0, 0))
-    message = f"path of {10**19 + 2} letters exceeds the limit of {core.MAX_PATH_LENGTH}"
-    with pytest.raises(BudgetExceededError) as info:
-        shortening_violation(huge)
-    assert str(info.value) == message
+    assert shortening_violation(huge) is None
+    dip = Shortening(UP_DOWN, (10**19, 10**19), (0, 1), V(0, 1), Configuration(0, 0))
+    assert shortening_violation(dip) == "reduced path is not admissible from the source"
     monkeypatch.setattr(core, "MAX_PATH_LENGTH", 5)
-    assert shortening_violation(Shortening(UP, (3,), (2,), V(0, 1), Configuration(0, 0))) is None
+    assert shortening_violation(Shortening(UP, (4,), (2,), V(0, 2), Configuration(0, 0))) is None
     with pytest.raises(BudgetExceededError, match="path of 6 letters exceeds the limit of 5"):
-        shortening_violation(Shortening(UP, (4,), (2,), V(0, 2), Configuration(0, 0)))
+        cut_by_vector(UP, (4,), Configuration(6, 6), 1, V(0, 1))
 
 
 class _LetterPath:
@@ -396,8 +392,10 @@ def test_path_view_matches_the_letter_level_reference():
         source = Configuration(rng.randint(0, 10), rng.randint(0, 10))
         view = shortening._path(scheme, exponents, source)
         ref = _LetterPath.of(scheme, exponents, source)
-        corners = [V(x, y) for x, y in shortening._corners(scheme, exponents, source)]
+        corners = [V(x, y) for x, y in certificates._corners(scheme, exponents, source)]
         assert set(corners) <= set(ref.points) and corners[-1] == ref.points[-1]
+        # the stretch bases and the end, where shorten_far reads its peak
+        assert [V(x, y) for _i, x, y in view.bases] + [view.end] == corners
         for key in (lambda p: p.x, lambda p: p.y):
             assert min(map(key, corners)) == min(map(key, ref.points))
             assert max(map(key, corners)) == max(map(key, ref.points))
@@ -428,17 +426,9 @@ def test_no_operation_builds_a_word(monkeypatch, capsys):
     expected outputs with every name bound to ``core.instantiate`` or
     ``core.run`` made to fail."""
 
-    def refuse(*args):
-        raise AssertionError("a word was built or run")
-
     ops = {golden_argv(name)[golden_argv(name).index("--op") + 1] for name in SHORTENING_GOLDENS}
     assert ops == {"cut", "close-away", "away-both", "away-other", "one-visit", "far"}
-    real = (core.instantiate, core.run)
-    for name, module in sorted(sys.modules.items()):
-        if name == "vasskit" or name.startswith("vasskit."):
-            for attr, value in sorted(vars(module).items()):
-                if any(value is f for f in real):
-                    monkeypatch.setattr(module, attr, refuse)
+    refuse_words(monkeypatch)
     for name in SHORTENING_GOLDENS:
         assert cli.main(golden_argv(name)) == 0
         with open(os.path.join(GOLDENS_DIR, "expected", name.replace(".vas", ".out"))) as fh:

@@ -32,7 +32,7 @@ from typing import Optional
 from .core import Configuration, PlaneVector, SchemePath, Slps, Vass, Word, require_path, run
 from .decide import REACHABLE, UNREACHABLE_WITHIN_CAP, Verdict, brute_force_oracle
 from .errors import ParseError
-from .instances import load_instance, parse_pair
+from .instances import Instance, load_instance, parse_pair
 from .schemes import WitnessResult, search_cap
 
 
@@ -241,10 +241,17 @@ def parse_result(line: str, lineno: Optional[int] = None) -> WitnessResult:
 def verify_certificate_file(path: str) -> list[str]:
     """Re-check every certificate line in a file; returns violations
     (empty means valid).  Referenced files resolve relative to the
-    certificate's directory."""
+    certificate's directory, and each is parsed once."""
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+    loaded: dict[str, Instance] = {}
+
+    def load(file: Optional[str]) -> Optional[Instance]:
+        if file is not None and file not in loaded:
+            loaded[file] = load_instance(file)
+        return loaded.get(file)
+
     violations: list[str] = []
     instance_file: Optional[str] = None
     empty = True
@@ -259,13 +266,14 @@ def verify_certificate_file(path: str) -> list[str]:
             instance_file = os.path.join(base, rest)
         elif key == "shortening":
             cert = parse_shortening(rest, lineno)
-            violations.extend(_check_shortening(cert, base, lineno))
+            instance = load(os.path.join(base, cert.scheme_file))
+            violations.extend(_check_shortening(cert, instance, lineno))
         elif key == "verdict":
             verdict = parse_verdict(rest, lineno)
-            violations.extend(_check_verdict(verdict, instance_file, lineno))
+            violations.extend(_check_verdict(verdict, load(instance_file), lineno))
         elif key == "result":
             result = parse_result(rest, lineno)
-            violations.extend(_check_result(result, instance_file, lineno))
+            violations.extend(_check_result(result, load(instance_file), lineno))
         else:
             raise ParseError(f"unknown certificate line {key!r}", lineno)
     if empty:
@@ -273,8 +281,7 @@ def verify_certificate_file(path: str) -> list[str]:
     return violations
 
 
-def _check_shortening(cert: ShorteningCert, base: str, lineno: int) -> list[str]:
-    instance = load_instance(os.path.join(base, cert.scheme_file))
+def _check_shortening(cert: ShorteningCert, instance: Instance, lineno: int) -> list[str]:
     if instance.kind != "slps":
         return [f"line {lineno}: shortening references a non-simple-scheme file"]
     sh = Shortening(
@@ -288,10 +295,9 @@ def _check_shortening(cert: ShorteningCert, base: str, lineno: int) -> list[str]
     return [f"line {lineno}: {reason}"] if reason else []
 
 
-def _check_verdict(verdict: Verdict, instance_file: Optional[str], lineno: int) -> list[str]:
-    if instance_file is None:
+def _check_verdict(verdict: Verdict, instance: Optional[Instance], lineno: int) -> list[str]:
+    if instance is None:
         return [f"line {lineno}: verdict without a preceding instance line"]
-    instance = load_instance(instance_file)
     if instance.kind != "vass" or instance.query is None:
         return [f"line {lineno}: verdict instance must be a vass with a query"]
     s, t = instance.query
@@ -318,10 +324,9 @@ def _check_verdict(verdict: Verdict, instance_file: Optional[str], lineno: int) 
     return [f"line {lineno}: unknown verdict kind {verdict.kind!r}"]
 
 
-def _check_result(result: WitnessResult, instance_file: Optional[str], lineno: int) -> list[str]:
-    if instance_file is None:
+def _check_result(result: WitnessResult, instance: Optional[Instance], lineno: int) -> list[str]:
+    if instance is None:
         return [f"line {lineno}: result without a preceding instance line"]
-    instance = load_instance(instance_file)
     if instance.kind != "slps" or instance.query is None:
         return [f"line {lineno}: result instance must be a simple scheme with a query"]
     s, t = instance.query

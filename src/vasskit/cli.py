@@ -141,8 +141,7 @@ def _cmd_flatten(args, out) -> int:
     members = schemes.split_lps(instance.scheme)
     print(f"members: {len(members)}", file=out)
     for member in members:
-        profile = ",".join(str(u) for u in member.profile)
-        print(f"# member profile={profile}", file=out)
+        print("# member profile=" + ",".join(map(str, member.profile)), file=out)
         print(serialize_instance(Instance(kind="slps", scheme=member.scheme)), end="", file=out)
     return EXIT_OK
 

@@ -185,10 +185,14 @@ def serialize_instance(instance: Instance) -> str:
             out.append(f"edge {p} {q} {vec.x} {vec.y}")
     else:
         s = instance.scheme
-        for i, alpha in enumerate(s.alphas):
-            out.append(_scheme_line(instance.kind, "seg", alpha))
-            if i < s.K:
-                out.append(_scheme_line(instance.kind, "cyc", s.betas[i]))
+        if instance.kind == "slps":
+            out += [f"seg {a.x} {a.y}\ncyc {b.x} {b.y}" for (a,), (b,) in zip(s.alphas, s.betas)]
+            (a,) = s.alphas[-1]
+            out.append(f"seg {a.x} {a.y}")
+        else:
+            for alpha, beta in zip(s.alphas, s.betas):
+                out += [_scheme_line("seg", alpha), _scheme_line("cyc", beta)]
+            out.append(_scheme_line("seg", s.alphas[-1]))
         if instance.exponents is not None:
             out.append("path " + " ".join(str(n) for n in instance.exponents))
     if instance.query is not None:
@@ -197,10 +201,7 @@ def serialize_instance(instance: Instance) -> str:
     return "\n".join(out) + "\n"
 
 
-def _scheme_line(kind: str, key: str, word: Word) -> str:
-    if kind == "slps":
-        (v,) = word
-        return f"{key} {v.x} {v.y}"
+def _scheme_line(key: str, word: Word) -> str:
     return (key + " " + " ".join(f"{v.x},{v.y}" for v in word)).rstrip()
 
 

@@ -14,7 +14,7 @@ self-loops, and reads the cycle exponents off the witness's state trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Optional
 
 from .core import (
@@ -42,29 +42,7 @@ class SlpsMember:
     cycle_origin: tuple[Optional[int], ...]
 
 
-def _assemble_simple(groups: list[list[PlaneVector]], cycles) -> tuple[Slps, tuple]:
-    """Turn alternating fixed-letter groups and starred cycles into a
-    simple scheme, inserting zero-cycles between extra fixed letters and
-    zero letters for empty groups.  ``cycles`` holds (vector, origin)."""
-    alphas: list[PlaneVector] = []
-    betas: list[PlaneVector] = []
-    origins: list[Optional[int]] = []
-    for j, group in enumerate(groups):
-        letters = group or [ZERO]
-        alphas.append(letters[0])
-        for letter in letters[1:]:
-            betas.append(ZERO)
-            origins.append(None)
-            alphas.append(letter)
-        if j < len(cycles):
-            vec, origin = cycles[j]
-            betas.append(vec)
-            origins.append(origin)
-    scheme = Slps(tuple((a,) for a in alphas), tuple((b,) for b in betas))
-    return scheme, tuple(origins)
-
-
-# the most simple schemes ``split_lps`` builds (3^10 take about 300 MiB)
+# the most simple schemes ``split_lps`` builds (3^10 take about 90 MiB)
 MAX_SPLIT_MEMBERS = 3**10
 
 
@@ -72,6 +50,13 @@ def split_lps(scheme: Lps) -> tuple[SlpsMember, ...]:
     """Split a general scheme into simple schemes, one per cycle-usage
     profile (0, 1 or >=2 uses), preserving the union of reachability
     relations.
+
+    A member's fixed letters fall into groups split by its normalized
+    cycles; a group's letters after its first are segments behind
+    zero-cycles, and an empty group is the zero letter.  Profiles are
+    walked depth-first in (0, 1, 2) order, ``itertools.product``'s, each
+    prefix carrying its closed segments, cycles and origins and its open
+    group, so members share the input's letters.
 
     Raises BudgetExceededError, before building anything, when the 3^K
     members would be more than MAX_SPLIT_MEMBERS.
@@ -82,25 +67,26 @@ def split_lps(scheme: Lps) -> tuple[SlpsMember, ...]:
             f"splitting {k} cycles makes {3**k} simple schemes,"
             f" more than the limit of {MAX_SPLIT_MEMBERS}"
         )
-    members = []
-    for profile in product((0, 1, 2), repeat=k):
-        groups: list[list[PlaneVector]] = [list(scheme.alphas[0])]
-        cycles: list[tuple[PlaneVector, int]] = []
-        for i, usage in enumerate(profile):
-            beta = scheme.betas[i]
-            if usage == 0:
-                pass
-            elif usage == 1:
-                groups[-1].extend(beta)
-            else:
-                groups[-1].extend(beta)
-                cycles.append((effect(beta), i))
-                groups.append(list(beta))
-                groups[-1].extend(scheme.alphas[i + 1])
-                continue
-            groups[-1].extend(scheme.alphas[i + 1])
-        simple, origins = _assemble_simple(groups, cycles)
-        members.append(SlpsMember(scheme=simple, profile=profile, cycle_origin=origins))
+    alphas = [tuple((a,) for a in word) for word in scheme.alphas]
+    betas = [tuple((b,) for b in word) for word in scheme.betas]
+    effects = [((effect(word),),) for word in scheme.betas]
+    zero = (ZERO,)
+    members: list[SlpsMember] = []
+
+    def walk(i, profile, segs, cycs, origins, group):
+        if i == k:
+            pad = len(group) - 1
+            simple = Slps(segs + (group or (zero,)), cycs + (zero,) * pad)
+            members.append(SlpsMember(simple, profile, origins + (None,) * pad))
+            return
+        beta, alpha = betas[i], alphas[i + 1]
+        walk(i + 1, profile + (0,), segs, cycs, origins, group + alpha)
+        walk(i + 1, profile + (1,), segs, cycs, origins, group + beta + alpha)
+        pad = len(group) + len(beta) - 1
+        walk(i + 1, profile + (2,), segs + group + beta, cycs + (zero,) * pad + effects[i],
+             origins + (None,) * pad + (i,), beta + alpha)
+
+    walk(0, (), (), (), (), alphas[0])
     return tuple(members)
 
 

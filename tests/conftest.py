@@ -1,7 +1,9 @@
 import os
 import sys
+from itertools import product
+from random import Random
 
-from vasskit import core
+from vasskit import Lps, PlaneVector, SlpsMember, ZERO, core, effect, slps_of
 
 GOLDENS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "goldens")
 
@@ -59,3 +61,51 @@ def refuse_words(monkeypatch) -> None:
             for attr, value in sorted(vars(module).items()):
                 if any(value is f for f in real):
                     monkeypatch.setattr(module, attr, refuse)
+
+
+def reference_split(scheme: Lps):
+    """The split one profile of ``itertools.product`` at a time and one
+    letter at a time, as ``split_lps`` once built it."""
+    members = []
+    for profile in product((0, 1, 2), repeat=scheme.K):
+        groups = [list(scheme.alphas[0])]
+        cycles = []
+        for i, usage in enumerate(profile):
+            beta = scheme.betas[i]
+            if usage == 0:
+                pass
+            elif usage == 1:
+                groups[-1].extend(beta)
+            else:
+                groups[-1].extend(beta)
+                cycles.append((effect(beta), i))
+                groups.append(list(beta))
+                groups[-1].extend(scheme.alphas[i + 1])
+                continue
+            groups[-1].extend(scheme.alphas[i + 1])
+        alphas, betas, origins = [], [], []
+        for j, group in enumerate(groups):
+            letters = group or [ZERO]
+            alphas.append(letters[0])
+            for letter in letters[1:]:
+                betas.append(ZERO)
+                origins.append(None)
+                alphas.append(letter)
+            if j < len(cycles):
+                vec, origin = cycles[j]
+                betas.append(vec)
+                origins.append(origin)
+        members.append(SlpsMember(slps_of(alphas, betas), profile, tuple(origins)))
+    return tuple(members)
+
+
+def random_lps(rng: Random, k: int) -> Lps:
+    """A general scheme with K = k: segments of 0-2 letters, cycles of
+    1-2, letters of norm at most 2."""
+
+    def letter():
+        return PlaneVector(rng.randint(-2, 2), rng.randint(-2, 2))
+
+    alphas = tuple(tuple(letter() for _ in range(rng.randint(0, 2))) for _ in range(k + 1))
+    betas = tuple(tuple(letter() for _ in range(rng.randint(1, 2))) for _ in range(k))
+    return Lps(alphas, betas)

@@ -17,6 +17,8 @@ from vasskit import (
     cli,
     cut_by_vector,
     decide,
+    instances,
+    parse_instance,
     schemes,
     slps_of,
 )
@@ -199,6 +201,29 @@ def test_scheme_answers_build_no_word(monkeypatch, capsys):
     assert len(bundled) == 12
     for path in bundled:
         assert verify_certificate_file(path) == [], path
+
+
+def test_verify_parses_each_referenced_file_once(tmp_path, monkeypatch, capsys):
+    scheme = tmp_path / "g.vas"
+    scheme.write_text(open(os.path.join(GOLDENS_DIR, "g17-shorten-cut.vas")).read())
+    cert = tmp_path / "g.cert"
+    argv = ["shorten", str(scheme), "--op", "cut", "--direction", "0,0", "--count", "3"]
+    assert cli.main(argv + ["--cert", str(cert)]) == 0
+    capsys.readouterr()
+    parses = []
+
+    def counting_parse(text):
+        parses.append(text)
+        return parse_instance(text)
+
+    monkeypatch.setattr(instances, "parse_instance", counting_parse)
+    assert verify_certificate_file(str(cert)) == []
+    assert len(parses) == 1
+    lines = cert.read_text().splitlines()
+    lines[2] = lines[2].replace("delta=0,0", "delta=0,1")
+    cert.write_text("\n".join(lines) + "\n")
+    assert verify_certificate_file(str(cert)) == ["line 3: effect difference does not equal delta"]
+    assert len(parses) == 2
 
 
 def test_verify_unknown_line(tmp_path):

@@ -5,9 +5,10 @@ import io
 import os
 import subprocess
 import sys
+from random import Random
 
-from conftest import GOLDENS_DIR, golden_argv
-from vasskit import PlaneVector, ZERO, cli, decide, fuzzing, schemes, slps_of
+from conftest import GOLDENS_DIR, golden_argv, random_lps, reference_split
+from vasskit import Instance, PlaneVector, ZERO, cli, decide, fuzzing, schemes, serialize_instance, slps_of
 from vasskit.core import MAX_PATH_LENGTH
 
 LOOP_TEXT = "vass\nstates a\ninit a\nfinal a\nedge a a -1 1\nquery 2 0 -> 0 2\n"
@@ -182,6 +183,21 @@ def test_flatten(tmp_path, capsys):
     assert code == 0
     assert out.startswith("members: 3\n")
     assert out.count("# member profile=") == 3
+
+
+def test_flatten_writes_each_reference_member(tmp_path, capsys):
+    scheme = random_lps(Random(29), 5)
+    f = tmp_path / "five.vas"
+    f.write_text(serialize_instance(Instance(kind="lps", scheme=scheme)))
+    members = reference_split(scheme)
+    expected = [f"members: {len(members)}"]
+    for m in members:
+        expected += ["# member profile=" + ",".join(map(str, m.profile)), "slps"]
+        for (a,), (b,) in zip(m.scheme.alphas, m.scheme.betas):
+            expected += [f"seg {a.x} {a.y}", f"cyc {b.x} {b.y}"]
+        (a,) = m.scheme.alphas[-1]
+        expected.append(f"seg {a.x} {a.y}")
+    assert run_cli(["flatten", str(f)], capsys) == (0, "\n".join(expected) + "\n")
 
 
 def test_flatten_over_the_split_limit_exits_3(tmp_path, capsys):

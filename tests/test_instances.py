@@ -1,8 +1,20 @@
 """Instance file parsing and canonical serialization."""
 
+from itertools import product
+from random import Random
+
 import pytest
 
-from vasskit import ParseError, PlaneVector, cli, parse_instance, serialize_instance
+from vasskit import (
+    Configuration,
+    Instance,
+    ParseError,
+    PlaneVector,
+    cli,
+    parse_instance,
+    serialize_instance,
+    slps_of,
+)
 
 V = PlaneVector
 
@@ -58,6 +70,28 @@ def test_round_trips():
         inst = parse_instance(text)
         assert serialize_instance(inst) == text
         assert parse_instance(serialize_instance(inst)) == inst
+
+
+def test_simple_scheme_text_round_trips():
+    rng = Random(23)
+    for k, with_path, with_query in list(product(range(7), (False, True), (False, True))) * 5:
+        alphas = [V(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(k + 1)]
+        betas = [V(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(k)]
+        lines = ["slps", f"seg {alphas[0].x} {alphas[0].y}"]
+        for a, b in zip(alphas[1:], betas):
+            lines += [f"cyc {b.x} {b.y}", f"seg {a.x} {a.y}"]
+        exponents = query = None
+        if with_path:
+            exponents = tuple(rng.randint(0, 9) for _ in range(k))
+            lines.append("path " + " ".join(map(str, exponents)))
+        if with_query:
+            query = (Configuration(rng.randint(0, 9), 0), Configuration(0, rng.randint(0, 9)))
+            lines.append(f"query {query[0].x} 0 -> 0 {query[1].y}")
+        text = "\n".join(lines) + "\n"
+        inst = Instance(kind="slps", scheme=slps_of(alphas, betas), exponents=exponents, query=query)
+        assert serialize_instance(inst) == text
+        assert parse_instance(serialize_instance(inst)) == inst
+        assert serialize_instance(parse_instance(text)) == text
 
 
 def test_comments_and_blank_lines():

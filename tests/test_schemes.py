@@ -1,6 +1,7 @@
 """Scheme transformations, the norm bound, and the complete simple-scheme
 decider."""
 
+from itertools import product
 from random import Random
 
 import pytest
@@ -27,6 +28,8 @@ from vasskit import (
     split_lps,
 )
 from vasskit import certificates, schemes
+
+from conftest import random_lps, reference_split
 
 V = PlaneVector
 O = Configuration(0, 0)
@@ -61,11 +64,28 @@ def test_split_lps_refuses_too_many_members_before_building_any(monkeypatch):
     two = Lps(((), (), ()), ((V(1, 0),), (V(0, 1),)))
     monkeypatch.setattr(schemes, "MAX_SPLIT_MEMBERS", 9)
     assert len(split_lps(two)) == 9  # exactly at the limit
-    monkeypatch.setattr(schemes, "_assemble_simple", refuse)
+    monkeypatch.setattr(schemes, "Slps", refuse)
+    monkeypatch.setattr(schemes, "SlpsMember", refuse)
     three = Lps(((), (), (), ()), ((V(1, 0),), (V(0, 1),), (V(1, 1),)))
     with pytest.raises(BudgetExceededError) as info:
         split_lps(three)
     assert str(info.value) == "splitting 3 cycles makes 27 simple schemes, more than the limit of 9"
+
+
+def test_split_lps_matches_the_product_reference_in_order():
+    rng = Random(17)
+    for k in [6] * 20 + [5] * 40 + list(range(5)) * 390:  # 2,010 schemes
+        scheme = random_lps(rng, k)
+        assert split_lps(scheme) == reference_split(scheme), scheme
+    profiles = [member.profile for member in split_lps(random_lps(rng, 4))]
+    assert profiles == list(product((0, 1, 2), repeat=4))
+
+
+def test_split_lps_members_share_the_input_letters():
+    scheme = Lps(((V(1, 0),), (V(0, 1),)), ((V(1, 1), V(2, 2)),))
+    members = split_lps(scheme)
+    words = {id(word) for m in members for word in m.scheme.alphas + m.scheme.betas}
+    assert len(words) == 6  # four input letters, the zero letter and the cycle's effect
 
 
 def test_split_lps_origin_mapping():

@@ -66,7 +66,6 @@ from .shortening import (
     AwayOtherResult,
     ShorteningFamily,
     cut_by_vector,
-    cycles_repeated_at_least,
     shorten_away_both,
     shorten_away_other,
     shorten_close_away,

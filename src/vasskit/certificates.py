@@ -264,6 +264,7 @@ def verify_certificate_file(path: str) -> list[str]:
         rest = rest.strip()
         if key == "instance":
             instance_file = os.path.join(base, rest)
+            load(instance_file)
         elif key == "shortening":
             cert = parse_shortening(rest, lineno)
             instance = load(os.path.join(base, cert.scheme_file))

@@ -50,26 +50,9 @@ def _require_nonempty(cone_set):
 
 
 def cone_contains_zero(cone_set: frozenset[PlaneVector] | set[PlaneVector]) -> bool:
-    """Exact test whether (0,0) is a nonempty positive combination of C.
-
-    Holds iff C contains the zero vector, or two antiparallel nonzero
-    vectors, or C fits in no closed halfplane.  Candidate halfplane
-    normals can be restricted to rotations of elements: a supporting
-    halfplane can always be rotated until its boundary touches C.
-    """
-    _require_nonempty(cone_set)
-    vectors = sorted(cone_set)
-    if any(v.is_zero() for v in vectors):
-        return True
-    for i, a in enumerate(vectors):
-        for b in vectors[i + 1:]:
-            if a.cross(b) == 0 and a.dot(b) < 0:
-                return True
-    for v in vectors:
-        for p in (rotate_cw(v), rotate_ccw(v)):
-            if all(p.dot(c) >= 0 for c in vectors):
-                return False
-    return True
+    """Exact test whether (0,0) is a nonempty positive combination of C:
+    whether the complete witness search ``zero_combination`` finds one."""
+    return zero_combination(cone_set) is not None
 
 
 def cone_contains(cone_set, v: PlaneVector) -> bool:
@@ -103,8 +86,13 @@ def zero_combination(cone_set) -> Optional[ZeroCombination]:
     """A witness that the cone contains zero, or None.
 
     Uses at most three vectors: a zero element alone, an antiparallel
-    pair, or a plane-spanning triple with the Cramer coefficients
-    x1 = |cross(c,b)|, x2 = |cross(a,c)|, x3 = |cross(b,a)|.
+    pair, or a triple whose cross products x1 = cross(b,c), x2 =
+    cross(c,a), x3 = cross(a,b) share a sign, with coefficients |x1|,
+    |x2|, |x3| as x1*a + x2*b + x3*c = 0.  The search is complete: with
+    no zero element and no antiparallel pair, zero is a positive
+    combination only strictly inside a triangle abc of elements
+    (Caratheodory; on an edge two terms would be antiparallel), which
+    is when the three cross products are nonzero with one sign.
     """
     _require_nonempty(cone_set)
     vectors = sorted(cone_set)
@@ -125,13 +113,9 @@ def zero_combination(cone_set) -> Optional[ZeroCombination]:
         for j in range(i + 1, len(vectors)):
             b = vectors[j]
             for c in vectors[j + 1:]:
-                x1 = abs(c.cross(b))
-                x2 = abs(a.cross(c))
-                x3 = abs(b.cross(a))
-                if x1 <= 0 or x2 <= 0 or x3 <= 0:
-                    continue
-                if (a.scale(x1) + b.scale(x2) + c.scale(x3)).is_zero():
-                    return ZeroCombination(tuple(sorted(((a, x1), (b, x2), (c, x3)))))
+                x1, x2, x3 = b.cross(c), c.cross(a), a.cross(b)
+                if (x1 > 0 and x2 > 0 and x3 > 0) or (x1 < 0 and x2 < 0 and x3 < 0):
+                    return ZeroCombination(tuple(sorted(((a, abs(x1)), (b, abs(x2)), (c, abs(x3))))))
     return None
 
 

@@ -159,9 +159,7 @@ def _gen_vector_set(rng: Random, max_norm: int = 4, max_size: int = 6):
 
 def _check_lemma1(cone_set) -> Optional[str]:
     combo = cones.zero_combination(cone_set)
-    contains = cones.cone_contains_zero(cone_set)
-    if (combo is not None) != contains:
-        return "witness presence disagrees with the membership test"
+    contains = combo is not None
     if contains != oracle_cone_contains_zero(cone_set):
         return "membership test disagrees with the angle-gap oracle"
     if contains != oracle_zero_combination_exists(cone_set):

@@ -63,15 +63,6 @@ class AwayOtherResult:
     vector: Optional[PlaneVector] = None
 
 
-def cycles_repeated_at_least(scheme: Slps, exponents: SchemePath, bound: int) -> set[PlaneVector]:
-    """The set of cycle vectors repeated at least ``bound`` times."""
-    if len(exponents) != scheme.K:
-        raise PreconditionError(
-            f"scheme has {scheme.K} cycles but {len(exponents)} exponents were given"
-        )
-    return {scheme.beta_vec(i) for i, n in enumerate(exponents) if n >= bound}
-
-
 # ---------------------------------------------------------------------------
 # internal path view: straight stretches
 
@@ -281,16 +272,12 @@ def _checked_norm(scheme: Slps, count: int = 1, cycle_cap: Optional[int] = None)
 
 
 def _cut(
-    scheme: Slps, exponents: SchemePath, source: Configuration, count: int, c: PlaneVector
+    scheme: Slps, exponents: SchemePath, source: Configuration, path: _Path, count: int, c: PlaneVector
 ) -> ShorteningFamily:
-    """The cut of ``cut_by_vector`` once its preconditions hold.  Over the
-    whole path the cycles repeated at least 2*norm^2*count times are
-    exactly those with that exponent, taken in (vector, index) order."""
+    """The cut of ``cut_by_vector`` over ``path``, the view of the
+    scheme path, once its preconditions hold."""
     norm = scheme.norm
-    heavy = sorted(
-        ((i, scheme.beta_vec(i), n) for i, n in enumerate(exponents) if n >= 2 * norm**2 * count),
-        key=lambda item: (item[1], item[0]),
-    )
+    heavy = _heavy_in(path, 0, path.length, 2 * norm**2 * count)
     gamma, deletions = _find_cut(heavy, c, 2 * norm**2)
     return _family(scheme, exponents, source, gamma, c, deletions, count)
 
@@ -312,13 +299,13 @@ def cut_by_vector(
     path = _path(scheme, exponents, source)
     path.require(f"margin {margin} violated", x_min=margin, y_min=margin)
     heavy_bound = 2 * norm**2 * count
-    heavy_vectors = cycles_repeated_at_least(scheme, exponents, heavy_bound)
+    heavy_vectors = {vec for _tag, vec, _n in _heavy_in(path, 0, path.length, heavy_bound)}
     if not heavy_vectors:
         raise PreconditionError(f"no cycle is repeated at least {heavy_bound} times")
     if not cone_contains(heavy_vectors, c):
         missing = "zero" if c.is_zero() else c
         raise PreconditionError(f"cone of repeated cycles does not contain {missing}")
-    return _cut(scheme, exponents, source, count, c)
+    return _cut(scheme, exponents, source, path, count, c)
 
 
 def shorten_close_away(
@@ -335,7 +322,7 @@ def shorten_close_away(
     threshold = (cycle_cap * corridor + 1) * norm
     if climb <= threshold:
         raise PreconditionError(f"climb {climb} does not exceed {threshold}")
-    heavy = [(i, scheme.beta_vec(i), n) for i, n in enumerate(exponents) if n >= corridor]
+    heavy = _heavy_in(path, 0, path.length, corridor)
     gamma, tag = _vertical(heavy, "no vertical cycle repeated corridor-many times")
     if corridor < gamma:
         raise PreconditionError(
@@ -364,7 +351,7 @@ def shorten_away_both(
             raise PreconditionError(
                 f"<({slope},1)> . (t-s) = {value} does not exceed {threshold}"
             )
-    return _cut(scheme, exponents, source, count, _UP)
+    return _cut(scheme, exponents, source, path, count, _UP)
 
 
 @dataclass(frozen=True)
@@ -574,4 +561,4 @@ def shorten_far(
         raise PreconditionError(
             f"peak {peak} does not exceed the far threshold for endpoints {endpoint_norm}"
         )
-    return _cut(scheme, exponents, source, 1, ZERO).members[1]
+    return _cut(scheme, exponents, source, path, 1, ZERO).members[1]

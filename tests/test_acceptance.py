@@ -88,6 +88,7 @@ def test_acceptance_3_shortening_suite(capsys):
     )
 
 
+@pytest.mark.slow
 def test_acceptance_4_norm_bound_suite(capsys):
     rng = Random(104)
     origin = Configuration(0, 0)

@@ -331,6 +331,56 @@ def test_verify_rejects_an_empty_file(tmp_path, capsys):
     assert run_cli(["verify", str(cert)], capsys) == (0, "verify: ok\n")
 
 
+def test_verify_loads_the_instance_line(tmp_path, capsys):
+    scheme = tmp_path / "cut.vas"
+    scheme.write_text(open(os.path.join(GOLDENS_DIR, "g17-shorten-cut.vas")).read())
+    cert = tmp_path / "cut.cert"
+    argv = ["shorten", str(scheme), "--op", "cut", "--direction", "0,0", "--cert", str(cert)]
+    assert run_cli(argv, capsys)[0] == 0
+    lines = cert.read_text().splitlines()
+    assert lines[0] == "instance: cut.vas"
+    missing = f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing.vas'}'\n"
+    # a missing instance is an input error, both beside a shortening line and on its own
+    for text in ["instance: missing.vas"] + lines[1:], ["instance: missing.vas"]:
+        cert.write_text("\n".join(text) + "\n")
+        assert run_cli_err(["verify", str(cert)], capsys) == (2, "", missing)
+
+
+def test_kind_mismatches(tmp_path, capsys):
+    up = os.path.join(GOLDENS_DIR, "g09-slps-up.vas")
+    loop = os.path.join(GOLDENS_DIR, "g01-loop.vas")
+    for argv, message in [
+        (["decide", up], "decide needs an automaton file with a query line"),
+        (["slps-decide", loop], "slps-decide needs a simple scheme file with a query line"),
+        (["shorten", up, "--op", "far"], "shorten needs a simple scheme file with path and query lines"),
+        (["flatten", up], "flatten needs a general scheme file"),
+    ]:
+        assert run_cli_err(argv, capsys) == (2, "", f"error: {message}\n")
+    (tmp_path / "up.vas").write_text(open(up).read())
+    (tmp_path / "loop.vas").write_text(LOOP_TEXT)
+    cert = tmp_path / "mismatch.cert"
+    for text, violation in [
+        (
+            "instance: up.vas\nverdict: kind=UnreachableWithinCap cap=5\n",
+            "line 2: verdict instance must be a vass with a query",
+        ),
+        (
+            "instance: loop.vas\nresult: reachable=false\n",
+            "line 2: result instance must be a simple scheme with a query",
+        ),
+        (
+            "instance: loop.vas\nshortening: scheme=loop.vas original=1 reduced=0 delta=0,1 source=0,0\n",
+            "line 2: shortening references a non-simple-scheme file",
+        ),
+        (
+            "verdict: kind=UnreachableWithinCap cap=5\n",
+            "line 1: verdict without a preceding instance line",
+        ),
+    ]:
+        cert.write_text(text)
+        assert run_cli(["verify", str(cert)], capsys) == (1, f"verify: {violation}\n")
+
+
 def test_goldens_match_expected_outputs(capsys):
     for name in sorted(os.listdir(GOLDENS_DIR)):
         if not name.endswith(".vas"):

@@ -1,6 +1,8 @@
 """Exact plane-cone geometry: rotations, zero membership, spanning pairs,
 separating and excluding vectors."""
 
+from itertools import combinations
+
 import pytest
 
 from vasskit import (
@@ -15,6 +17,8 @@ from vasskit import (
     separating_vector,
     zero_combination,
 )
+from vasskit import fuzzing
+from vasskit.cones import set_norm
 
 V = PlaneVector
 
@@ -32,6 +36,25 @@ def test_cone_contains_zero():
     assert cone_contains_zero({V(0, 0)})
     with pytest.raises(PreconditionError):
         cone_contains_zero(set())
+
+
+def test_zero_membership_on_every_small_set():
+    """Every set of one to three vectors of norm at most 2 (2,625 sets)
+    against both oracles, with each witness checked term by term."""
+    pool = fuzzing._all_vectors(2)
+    sets = [frozenset(c) for size in (1, 2, 3) for c in combinations(pool, size)]
+    assert len(sets) == 2625
+    for cone_set in sets:
+        contains = cone_contains_zero(cone_set)
+        assert contains == fuzzing.oracle_cone_contains_zero(cone_set), cone_set
+        assert contains == fuzzing.oracle_zero_combination_exists(cone_set), cone_set
+        combo = zero_combination(cone_set)
+        assert (combo is not None) == contains, cone_set
+        if combo is None:
+            continue
+        assert combo.total() == V(0, 0) and 1 <= len(combo.terms) <= 3, cone_set
+        bound = max(2 * set_norm(cone_set) ** 2, 1)
+        assert all(v in cone_set and 1 <= k <= bound for v, k in combo.terms), cone_set
 
 
 def test_cone_contains():

@@ -11,7 +11,6 @@ from vasskit import (
     Configuration,
     PlaneVector,
     ZERO,
-    cycles_repeated_at_least,
     effect,
     instantiate,
     path_length,
@@ -54,7 +53,7 @@ def gen_drift_case(rng: Random):
             continue
         bound = rng.randint(1, 4)
         strict = rng.random() < 0.5
-        heavy = cycles_repeated_at_least(scheme, exponents, bound)
+        heavy = {scheme.beta_vec(i) for i, n in enumerate(exponents) if n >= bound}
         ok = all(p.dot(a) > 0 for a in heavy) if strict else all(p.dot(a) >= 0 for a in heavy)
         if ok:
             return (scheme, exponents, p, bound, strict)

@@ -14,7 +14,6 @@ from vasskit import (
     Shortening,
     ZERO,
     cut_by_vector,
-    cycles_repeated_at_least,
     shorten_away_both,
     shorten_away_other,
     shorten_close_away,
@@ -34,13 +33,6 @@ VEE = slps_of([V(1, 0), V(-1, 1), V(0, 1)], [V(1, -1), V(-1, 1)])
 UP_DOWN = slps_of([ZERO, ZERO, ZERO], [V(0, 1), V(0, -1)])
 
 
-def test_cycles_repeated_at_least():
-    assert cycles_repeated_at_least(UP, (3,), 2) == {V(0, 1)}
-    assert cycles_repeated_at_least(UP, (3,), 4) == set()
-    two = slps_of([ZERO, ZERO, ZERO], [V(0, 1), V(1, 0)])
-    assert cycles_repeated_at_least(two, (5, 2), 3) == {V(0, 1)}
-
-
 def test_cut_by_vector():
     family = cut_by_vector(UP, (3,), Configuration(6, 6), 1, V(0, 1))
     assert family.gamma == 1
@@ -51,13 +43,24 @@ def test_cut_by_vector():
 
 
 def test_cut_by_vector_zero_not_in_cone():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^cone of repeated cycles does not contain zero$"):
         cut_by_vector(UP, (3,), Configuration(6, 6), 1, ZERO)
 
 
 def test_cut_by_vector_margin_violation():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^margin 6 violated \(offending point \(5,6\)\)$"):
         cut_by_vector(UP, (3,), Configuration(5, 6), 1, V(0, 1))
+
+
+def test_cut_by_vector_no_heavy_cycle():
+    # bound 2*norm^2*count = 4 at count 2; the one cycle is repeated 3 times
+    with pytest.raises(PreconditionError, match=r"^no cycle is repeated at least 4 times$"):
+        cut_by_vector(UP, (3,), Configuration(12, 12), 2, V(0, 1))
+
+
+def test_cut_by_vector_direction_not_in_cone():
+    with pytest.raises(PreconditionError, match=r"^cone of repeated cycles does not contain \(1,0\)$"):
+        cut_by_vector(UP, (3,), Configuration(6, 6), 1, V(1, 0))
 
 
 def test_cut_by_vector_mixed_cycles():

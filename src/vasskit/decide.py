@@ -35,11 +35,14 @@ dense form leaves it out of its shifts and of the pad P.
 
 Without a length bound it first saturates in place: each letter's shift
 of its source state's whole reached set is OR-ed into the target state's,
-sweep after sweep, until a sweep adds nothing, a goal is reached or the
-set holds more than ``budget`` nodes.  The BFS levels partition the
+sweep after sweep, until a sweep adds nothing, a goal is reached or a
+count finds more than ``budget`` nodes.  The BFS levels partition the
 in-cap reachable set, so when no goal is in it and it holds at most
 ``budget`` nodes, its size is the ``explored`` of the level-by-level
-search and the answer is UnreachableWithinCap.  A length bound, a goal
+search and the answer is UnreachableWithinCap.  The set is counted at
+that fixpoint, and after any other sweep only when the last count, a
+lower bound as the set only grows, does not already keep the search
+dense under the thin test below.  A length bound, a goal
 or a larger set runs the levels: each level is the shifted previous one
 minus the nodes already seen.  The level that holds a goal is answered
 from the levels kept so far (``_spell``): a backward pass marks the
@@ -210,7 +213,8 @@ def _dense_levels(vass, source, target, cap, length_bound, budget):
     names = vass.states
     index = {q: i for i, q in enumerate(names)}
     row = (1 << (cap + 1)) - 1
-    mask = row * sum(1 << (r * w) for r in range(cap + 1))
+    # sum of 2^(r*w) over r = 0..cap is (2^((cap+1)*w) - 1) / (2^w - 1)
+    mask = row * (((1 << ((cap + 1) * w)) - 1) // ((1 << w) - 1))
     words = ((cap + 1) * w >> 6) + 1
     moves = [set() for _ in names]
     for p, v, q in letters:
@@ -226,7 +230,7 @@ def _dense_levels(vass, source, target, cap, length_bound, budget):
 
     if length_bound is None:
         reached = list(level)
-        shifts = 0
+        shifts = nodes = 0  # nodes: the last count, a lower bound as the set only grows
         while not any(reached[j] & goal for j in goals):
             before = list(reached)
             for i, out in enumerate(moves):
@@ -235,10 +239,12 @@ def _dense_levels(vass, source, target, cap, length_bound, budget):
                     for shift, j in out:
                         bits = reached[i]
                         reached[j] |= (bits << shift if shift >= 0 else bits >> -shift) & mask
-            nodes = sum(bits.bit_count() for bits in reached)
-            if nodes > budget:
-                break  # the levels name the depth of the budget error
-            if reached == before:
+            fixed = reached == before
+            if fixed or thin(shifts, nodes):
+                nodes = sum(bits.bit_count() for bits in reached)
+                if nodes > budget:
+                    break  # the levels name the depth of the budget error
+            if fixed:
                 return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=nodes)
             if thin(shifts, nodes):
                 return None

@@ -1,5 +1,6 @@
 """Capped and length-bounded reachability decisions for automata."""
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -209,19 +210,31 @@ def test_dense_levels_match_sparse_loop(monkeypatch):
         t = Configuration(rng.randint(0, cap), rng.randint(0, cap))
         bound = rng.randint(-1, 15)
         bound = None if bound < 0 else bound
-        budget = rng.randint(0, 300)
-        dense = _outcome(vass, s, t, cap, bound, budget)
-        with monkeypatch.context() as m:
-            m.setattr(decide, "GRID_BITS", 0)
-            sparse = _outcome(vass, s, t, cap, bound, budget)
-        assert dense == sparse, (vass, s, t, cap, bound, budget)
-        try:
-            slow = brute_force_oracle(vass, s, t, cap, budget=budget, length_bound=bound)
-        except BudgetExceededError:
-            slow = "budget"
-        assert _summary(dense) == _summary(slow), (vass, s, t, cap, bound, budget)
-        budget_outs += isinstance(dense, str)
-        reachable += not isinstance(dense, str) and dense.kind == REACHABLE
+        budgets = [rng.randint(0, 300)]
+        if bound is None:
+            # either side of the grid's size, of the reached set's size and
+            # of the levels expanded before the answer
+            grid = len(vass.states) * (cap + 1) ** 2
+            closed = replace(vass, accepting=frozenset())
+            everything = _forced_sparse(monkeypatch, closed, s, s, cap, budget=grid)
+            answer = _forced_sparse(monkeypatch, vass, s, t, cap, budget=grid)
+            budgets += [
+                size + d for size in (grid, everything.explored, answer.explored)
+                for d in (-1, 0, 1) if size + d >= 0
+            ]
+        for budget in budgets:
+            dense = _outcome(vass, s, t, cap, bound, budget)
+            with monkeypatch.context() as m:
+                m.setattr(decide, "GRID_BITS", 0)
+                sparse = _outcome(vass, s, t, cap, bound, budget)
+            assert dense == sparse, (vass, s, t, cap, bound, budget)
+            try:
+                slow = brute_force_oracle(vass, s, t, cap, budget=budget, length_bound=bound)
+            except BudgetExceededError:
+                slow = "budget"
+            assert _summary(dense) == _summary(slow), (vass, s, t, cap, bound, budget)
+            budget_outs += isinstance(dense, str)
+            reachable += not isinstance(dense, str) and dense.kind == REACHABLE
     # every outcome class is exercised
     assert budget_outs > 100 and reachable > 100
 
@@ -268,6 +281,50 @@ def test_dense_saturation_and_spelling_match_sparse_loop(monkeypatch):
         sparse = _forced_sparse(monkeypatch, vass, s, t, cap, budget=2_000_000)
         assert dense == sparse, (vass, s, t, cap)
     assert saturated >= 300 and spelled >= 300
+
+
+# every node of both states' grids is reached, and no goal ends the search
+FULL = Vass(
+    ("a", "b"), WALK.edges + (("a", V(0, 0), "b"), ("b", V(0, 0), "a")),
+    frozenset({"a"}), frozenset(),
+)
+
+
+def test_saturation_exits_at_full_grid():
+    # a search that reaches every node of its grid
+    s = Configuration(0, 0)
+    for cap in (1, 5, 12):
+        grid = 2 * (cap + 1) ** 2
+        assert _outcome(FULL, s, s, cap, None, grid - 1).startswith("search exceeded")
+        verdict = _outcome(FULL, s, s, cap, None, grid)
+        assert verdict.kind == UNREACHABLE_WITHIN_CAP and verdict.explored == grid
+
+
+@pytest.mark.parametrize("cap, pad", [(255, 0), (254, 2), (253, 3), (230, 1), (200, 3)])
+def test_caps_at_grid_edge_match_sparse_loop(monkeypatch, cap, pad):
+    # the row mask at the widest padded grids of at most GRID_BITS bits
+    assert (cap + 1) * (cap + 1 + pad) <= decide.GRID_BITS
+    rng = Random(cap * 8 + pad)
+    # long strides, so that a one-row search (pad 0) is not too thin for bitsets
+    letters = [V(x, y) for x in range(-40, 41) for y in range(-pad, pad + 1)]
+    dense_answers = 0
+    for _ in range(4):
+        states = ("a", "b")[: rng.randint(1, 2)]
+        edges = [(rng.choice(states), rng.choice(letters), rng.choice(states)) for _ in range(4)]
+        edges.append((states[0], V(rng.randint(-40, 40), rng.choice((-pad, pad))), states[-1]))
+        vass = Vass(states, tuple(edges), frozenset({states[0]}), frozenset({states[-1]}))
+        s = Configuration(rng.choice((0, cap)), rng.randint(0, cap))
+        t = Configuration(rng.randint(0, cap), rng.randint(cap - 3, cap))
+        expected = _forced_sparse(monkeypatch, vass, s, t, cap)
+        for budget in (2_000_000, max(expected.explored - 1, 0)):
+            with monkeypatch.context() as m:
+                m.setattr(decide, "GRID_BITS", 0)
+                sparse = _outcome(vass, s, t, cap, None, budget)
+            with monkeypatch.context() as m:
+                calls = _counting_sparse(m)
+                assert _outcome(vass, s, t, cap, None, budget) == sparse, (vass, s, t, budget)
+            dense_answers += not calls
+    assert dense_answers >= 4
 
 
 def test_dense_selector(monkeypatch):

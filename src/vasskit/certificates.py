@@ -32,7 +32,7 @@ from typing import Optional
 from .core import Configuration, PlaneVector, SchemePath, Slps, Vass, Word, require_path, run
 from .decide import REACHABLE, UNREACHABLE_WITHIN_CAP, Verdict, brute_force_oracle
 from .errors import ParseError
-from .instances import Instance, load_instance, parse_pair
+from .instances import Instance, _meaningful_lines, load_instance, parse_pair
 from .schemes import WitnessResult, search_cap
 
 
@@ -244,7 +244,9 @@ def verify_certificate_file(path: str) -> list[str]:
     certificate's directory, and each is parsed once."""
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        lines = list(_meaningful_lines(fh.read()))
+    if not lines:
+        raise ParseError("empty certificate file")
     loaded: dict[str, Instance] = {}
 
     def load(file: Optional[str]) -> Optional[Instance]:
@@ -254,12 +256,7 @@ def verify_certificate_file(path: str) -> list[str]:
 
     violations: list[str] = []
     instance_file: Optional[str] = None
-    empty = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        empty = False
+    for lineno, line in lines:
         key, _, rest = line.partition(":")
         rest = rest.strip()
         if key == "instance":
@@ -277,8 +274,6 @@ def verify_certificate_file(path: str) -> list[str]:
             violations.extend(_check_result(result, load(instance_file), lineno))
         else:
             raise ParseError(f"unknown certificate line {key!r}", lineno)
-    if empty:
-        raise ParseError("empty certificate file")
     return violations
 
 

@@ -139,7 +139,7 @@ def _cmd_flatten(args, out) -> int:
     if instance.kind != "lps":
         raise ParseError("flatten needs a general scheme file")
     members = schemes.split_lps(instance.scheme)
-    print(f"members: {len(members)}", file=out)
+    print(f"members: {3**instance.scheme.K}", file=out)
     for member in members:
         print("# member profile=" + ",".join(map(str, member.profile)), file=out)
         print(serialize_instance(Instance(kind="slps", scheme=member.scheme)), end="", file=out)

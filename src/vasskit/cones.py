@@ -167,18 +167,15 @@ def excluding_vector(cone_set) -> PlaneVector:
     if cone_contains(cone_set, PlaneVector(0, 1)):
         raise PreconditionError("cone contains (0,1)")
     vectors = sorted(cone_set)
-    candidates: list[PlaneVector] = []
-    if not cone_contains_zero(cone_set):
+    try:
         a, b = outermost_pair(cone_set)
         candidates = [rotate_ccw(a), PlaneVector(0, -1), rotate_cw(b)]
-    else:
-        # zero arises from an antiparallel pair here (a spanning triple
-        # would put (0,1) in the cone); take the left rotation of a member
-        # pointing weakly left
-        for i, a in enumerate(vectors):
-            for b in vectors:
-                if b is not a and a.cross(b) == 0 and a.dot(b) < 0 and a.x <= 0:
-                    candidates.append(rotate_ccw(a))
+    except PreconditionError:
+        # the cone contains zero, from an antiparallel pair here (a spanning
+        # triple would put (0,1) in the cone); take the left rotation of a
+        # member pointing weakly left
+        candidates = [rotate_ccw(a) for a in vectors for b in vectors
+                      if b is not a and a.cross(b) == 0 and a.dot(b) < 0 and a.x <= 0]
     bound = set_norm(cone_set)
     valid = [
         p

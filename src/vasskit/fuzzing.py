@@ -179,13 +179,13 @@ def _check_lemma1(cone_set) -> Optional[str]:
 
 
 def _check_lemma2(cone_set) -> Optional[str]:
-    if cones.cone_contains_zero(cone_set):
-        try:
-            cones.outermost_pair(cone_set)
-            return "outermost pair produced although the cone contains zero"
-        except PreconditionError:
-            return None
-    a, b = cones.outermost_pair(cone_set)
+    zero_free = not oracle_cone_contains_zero(cone_set)
+    try:
+        a, b = cones.outermost_pair(cone_set)
+    except PreconditionError:
+        return "outermost pair refused although the cone is zero-free (oracle)" if zero_free else None
+    if not zero_free:
+        return "outermost pair produced although the cone contains zero (oracle)"
     if a not in cone_set or b not in cone_set:
         return "pair elements not drawn from the set"
     la, rb = cones.rotate_ccw(a), cones.rotate_cw(b)
@@ -257,6 +257,24 @@ def _check_lemma4(cone_set) -> Optional[str]:
 # the shortening operations
 
 
+def _shortening_fault(sh) -> Optional[str]:
+    """The shortening invariants on path profiles (``_compose``): one
+    exponent per cycle, reduced <= original with something deleted, delta
+    the effect difference, and the reduced path admissible from the source."""
+    if not len(sh.original) == len(sh.reduced) == sh.scheme.K:
+        return f"{len(sh.original)} and {len(sh.reduced)} exponents for {sh.scheme.K} cycles"
+    if sh.reduced == sh.original or any(not 0 <= r <= o for r, o in zip(sh.reduced, sh.original)):
+        return f"reduced {sh.reduced} deletes nothing or more than {sh.original}"
+    blocks = _block_summaries(sh.scheme)
+    _length, ex, ey, _dx, _dy = _compose(blocks, sh.original)
+    _length, rx, ry, dx, dy = _compose(blocks, sh.reduced)
+    if (ex - rx, ey - ry) != (sh.delta.x, sh.delta.y):
+        return f"delta {sh.delta} is not the effect difference ({ex - rx},{ey - ry})"
+    if sh.source.x + dx < 0 or sh.source.y + dy < 0:
+        return f"reduced path dips below an axis from {sh.source}"
+    return None
+
+
 def _validate_family(
     family: shortening.ShorteningFamily, direction: PlaneVector, gamma_bound: int
 ) -> Optional[str]:
@@ -265,7 +283,7 @@ def _validate_family(
     if not 0 <= family.gamma <= gamma_bound:
         return f"gamma {family.gamma} outside [0, {gamma_bound}]"
     for n, member in sorted(family.members.items()):
-        reason = certificates.shortening_violation(member)
+        reason = _shortening_fault(member)
         if reason is not None:
             return f"member {n}: {reason}"
         if member.delta != direction.scale(n * family.gamma):
@@ -462,12 +480,9 @@ def _gen_thm9(rng: Random):
 def _check_thm9(case) -> Optional[str]:
     scheme, exponents, source, k = case
     member = shortening.shorten_far(scheme, exponents, source, k)
-    reason = certificates.shortening_violation(member)
-    if reason is not None:
-        return reason
     if member.delta != ZERO:
         return f"far shortening has delta {member.delta}, not zero"
-    return None
+    return _shortening_fault(member)
 
 
 # ---------------------------------------------------------------------------
@@ -707,19 +722,17 @@ def _lost_target(origin, union) -> Optional[tuple[tuple[int, int], tuple[int, in
 
 
 def _check_thm12(scheme: Lps) -> Optional[str]:
-    members = schemes.split_lps(scheme)
     size = max(scheme.length, 1)
     norm = scheme.norm
-    for member in members:
-        if member.scheme.length > 4 * size:
-            return f"member length {member.scheme.length} exceeds 4*|L| = {4 * size}"
-        if member.scheme.norm > max(2 * norm * size, norm):
-            return f"member norm {member.scheme.norm} exceeds 2*norm*|L|"
     max_len = 40
     origin_blocks = _block_summaries(scheme)
     origin_sources = _least_sources(bounded_relation(origin_blocks, max_len))
     union_sources: dict[tuple, list] = {}
-    for member in members:
+    for member in schemes.split_lps(scheme):
+        if member.scheme.length > 4 * size:
+            return f"member length {member.scheme.length} exceeds 4*|L| = {4 * size}"
+        if member.scheme.norm > max(2 * norm * size, norm):
+            return f"member norm {member.scheme.norm} exceeds 2*norm*|L|"
         member_states = bounded_relation(_block_summaries(member.scheme), max_len)
         # every member path must map to a genuine origin path: same
         # effect, same admissibility threshold, boundedly longer

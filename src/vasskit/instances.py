@@ -8,7 +8,8 @@ line (``seg 0 1``); general LPS files carry a space-separated list of
 ``path n1 n2 ...`` line fixes cycle exponents and an optional
 ``query sx sy -> tx ty`` line states a reachability question; a second
 ``path`` or ``query`` line, or a state named twice on ``states`` lines,
-is a ParseError naming its line.
+is a ParseError naming its line.  A file is read in one pass, so of
+several errors the first by line is reported.
 """
 
 from __future__ import annotations
@@ -63,21 +64,25 @@ def _parse_query(tokens: list[str], line: int) -> tuple[Configuration, Configura
     return s, t
 
 
+def _meaningful_lines(text: str):
+    """(line number, text) of each line that holds more than a comment:
+    cut at ``#`` and stripped, numbered from 1."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_instance(text: str) -> Instance:
     """Parse an instance file; raises ParseError with a line number."""
-    lines: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped.split()))
-    if not lines:
+    body = ((lineno, line.split()) for lineno, line in _meaningful_lines(text))
+    first = next(body, None)
+    if first is None:
         raise ParseError("empty instance file")
-
-    lineno, header = lines[0]
+    lineno, header = first
     kind = header[0]
     if kind not in ("vass", "lps", "slps") or len(header) != 1:
         raise ParseError(f"unknown instance kind {' '.join(header)!r}", lineno)
-    body = lines[1:]
     if kind == "vass":
         return _parse_vass(body)
     return _parse_scheme(kind, body)
@@ -117,7 +122,9 @@ def _parse_vass(body) -> Instance:
 
 
 def _parse_scheme(kind: str, body) -> Instance:
-    segments: list[tuple[str, Word, int]] = []  # (seg|cyc, word, lineno)
+    alphas: list[Word] = []
+    betas: list[Word] = []
+    alpha: Optional[Word] = None  # the segment since the last cycle, None before its first seg line
     exponents = None
     query = None
     for lineno, tokens in body:
@@ -131,7 +138,16 @@ def _parse_scheme(kind: str, body) -> Instance:
                 word = tuple(parse_pair(tok, lineno) for tok in rest)
                 if key == "cyc" and not word:
                     raise ParseError("cycles must be nonempty", lineno)
-            segments.append((key, word, lineno))
+            if key == "seg":
+                if kind == "slps" and alpha is not None:
+                    raise ParseError("simple scheme segments must alternate seg/cyc", lineno)
+                alpha = word if alpha is None else alpha + word
+            else:
+                if kind == "slps" and alpha is None:
+                    raise ParseError("simple scheme must start with a seg line", lineno)
+                alphas.append(alpha or ())
+                betas.append(word)
+                alpha = None
         elif key == "path":
             _once(exponents, key, lineno)
             exponents = tuple(_int(tok, lineno) for tok in rest)
@@ -140,34 +156,11 @@ def _parse_scheme(kind: str, body) -> Instance:
             query = _parse_query(rest, lineno)
         else:
             raise ParseError(f"unknown directive {key!r}", lineno)
-
-    alphas: list[Word] = []
-    betas: list[Word] = []
-    pending_alpha: Word = ()
-    have_alpha = False
-    for key, word, lineno in segments:
-        if key == "seg":
-            if have_alpha:
-                if kind == "slps":
-                    raise ParseError("simple scheme segments must alternate seg/cyc", lineno)
-                pending_alpha = pending_alpha + word
-            else:
-                pending_alpha = word
-                have_alpha = True
-        else:
-            alphas.append(pending_alpha if have_alpha else ())
-            if kind == "slps" and not have_alpha:
-                raise ParseError("simple scheme must start with a seg line", lineno)
-            betas.append(word)
-            pending_alpha = ()
-            have_alpha = False
-    alphas.append(pending_alpha if have_alpha else ())
-    if kind == "slps" and not have_alpha:
+    if kind == "slps" and alpha is None:
         raise ParseError("simple scheme must end with a seg line")
-    try:
-        scheme: Lps = Slps(tuple(alphas), tuple(betas)) if kind == "slps" else Lps(tuple(alphas), tuple(betas))
-    except ValueError as exc:
-        raise ParseError(str(exc))
+    # every check Slps and Lps make has been made above, with its line
+    alphas.append(alpha or ())
+    scheme = (Slps if kind == "slps" else Lps)(tuple(alphas), tuple(betas))
     if exponents is not None and len(exponents) != scheme.K:
         raise ParseError(f"path line has {len(exponents)} exponents, scheme has {scheme.K} cycles")
     return Instance(kind=kind, scheme=scheme, exponents=exponents, query=query)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import (
     Configuration,
@@ -42,11 +42,11 @@ class SlpsMember:
     cycle_origin: tuple[Optional[int], ...]
 
 
-# the most simple schemes ``split_lps`` builds (3^10 take about 90 MiB)
+# the most simple schemes ``split_lps`` yields (3^10 are 32 MB of ``flatten`` output)
 MAX_SPLIT_MEMBERS = 3**10
 
 
-def split_lps(scheme: Lps) -> tuple[SlpsMember, ...]:
+def split_lps(scheme: Lps) -> Iterator[SlpsMember]:
     """Split a general scheme into simple schemes, one per cycle-usage
     profile (0, 1 or >=2 uses), preserving the union of reachability
     relations.
@@ -56,10 +56,11 @@ def split_lps(scheme: Lps) -> tuple[SlpsMember, ...]:
     zero-cycles, and an empty group is the zero letter.  Profiles are
     walked depth-first in (0, 1, 2) order, ``itertools.product``'s, each
     prefix carrying its closed segments, cycles and origins and its open
-    group, so members share the input's letters.
+    group, so members share the input's letters; each is yielded as the
+    walk reaches it.
 
-    Raises BudgetExceededError, before building anything, when the 3^K
-    members would be more than MAX_SPLIT_MEMBERS.
+    Raises BudgetExceededError when called, before building anything, if
+    the 3^K members would be more than MAX_SPLIT_MEMBERS.
     """
     k = scheme.K
     if 3**k > MAX_SPLIT_MEMBERS:
@@ -71,23 +72,21 @@ def split_lps(scheme: Lps) -> tuple[SlpsMember, ...]:
     betas = [tuple((b,) for b in word) for word in scheme.betas]
     effects = [((effect(word),),) for word in scheme.betas]
     zero = (ZERO,)
-    members: list[SlpsMember] = []
 
     def walk(i, profile, segs, cycs, origins, group):
         if i == k:
             pad = len(group) - 1
             simple = Slps(segs + (group or (zero,)), cycs + (zero,) * pad)
-            members.append(SlpsMember(simple, profile, origins + (None,) * pad))
+            yield SlpsMember(simple, profile, origins + (None,) * pad)
             return
         beta, alpha = betas[i], alphas[i + 1]
-        walk(i + 1, profile + (0,), segs, cycs, origins, group + alpha)
-        walk(i + 1, profile + (1,), segs, cycs, origins, group + beta + alpha)
+        yield from walk(i + 1, profile + (0,), segs, cycs, origins, group + alpha)
+        yield from walk(i + 1, profile + (1,), segs, cycs, origins, group + beta + alpha)
         pad = len(group) + len(beta) - 1
-        walk(i + 1, profile + (2,), segs + group + beta, cycs + (zero,) * pad + effects[i],
-             origins + (None,) * pad + (i,), beta + alpha)
+        yield from walk(i + 1, profile + (2,), segs + group + beta, cycs + (zero,) * pad + effects[i],
+                        origins + (None,) * pad + (i,), beta + alpha)
 
-    walk(0, (), (), (), (), alphas[0])
-    return tuple(members)
+    return walk(0, (), (), (), (), alphas[0])
 
 
 def origin_exponents(member: SlpsMember, exponents: SchemePath, origin_cycles: int) -> SchemePath:

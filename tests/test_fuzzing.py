@@ -5,8 +5,18 @@ from random import Random
 
 import pytest
 
-from vasskit import Configuration, PlaneVector, ZERO, cone_contains, cone_contains_zero, slps_of
-from vasskit import fuzzing, schemes
+from vasskit import (
+    Configuration,
+    PlaneVector,
+    PreconditionError,
+    Shortening,
+    ZERO,
+    cone_contains,
+    cone_contains_zero,
+    slps_of,
+)
+from vasskit import certificates, cones, fuzzing, schemes
+from vasskit.shortening import ShorteningFamily
 from vasskit.core import Lps, effect, instantiate, run
 
 V = PlaneVector
@@ -180,12 +190,65 @@ def test_thm12_reports_the_first_lost_target(monkeypatch, scheme, dropped, viola
     split = schemes.split_lps
 
     def without_member(origin):
-        members = split(origin)
+        members = tuple(split(origin))
         return members[:dropped] + members[dropped + 1:]
 
     assert fuzzing._check_thm12(scheme) is None
     monkeypatch.setattr(schemes, "split_lps", without_member)
     assert fuzzing._check_thm12(scheme) == violation
+
+
+@pytest.mark.parametrize("target", ["lemma2", "lemma4"])
+def test_cone_targets_search_for_zero_once_per_case(monkeypatch, target):
+    searches = []
+    search = cones.zero_combination
+    monkeypatch.setattr(cones, "zero_combination", lambda c: searches.append(c) or search(c))
+    assert not fuzzing.run_target(target, 200, 1).failures
+    assert len(searches) == 200
+
+
+def test_lemma2_checks_refusals_against_the_oracle(monkeypatch):
+    zero_free, with_zero = frozenset({V(1, 0), V(1, 1)}), frozenset({V(1, 0), V(-1, 0)})
+    assert fuzzing._check_lemma2(zero_free) is None
+    assert fuzzing._check_lemma2(with_zero) is None
+
+    def refuse(cone_set):
+        raise PreconditionError("refused")
+
+    monkeypatch.setattr(cones, "outermost_pair", refuse)
+    assert fuzzing._check_lemma2(zero_free) == (
+        "outermost pair refused although the cone is zero-free (oracle)"
+    )
+    monkeypatch.setattr(cones, "outermost_pair", lambda cone_set: (V(1, 0), V(1, 0)))
+    assert fuzzing._check_lemma2(with_zero) == (
+        "outermost pair produced although the cone contains zero (oracle)"
+    )
+
+
+@pytest.mark.parametrize(
+    "member, violation",
+    [
+        # four turns up, then five down: the reduced path reaches (0,-1)
+        (
+            Shortening(slps_of([ZERO, V(0, -5)], [V(0, 1)]), (6,), (4,), V(0, 2), Configuration(0, 0)),
+            "member 1: reduced path dips below an axis from (0,0)",
+        ),
+        # one turn deleted, but a delta of n*gamma*direction = (0,2) stated
+        (
+            Shortening(slps_of([ZERO, ZERO], [V(0, 1)]), (3,), (2,), V(0, 2), Configuration(6, 6)),
+            "member 1: delta (0,2) is not the effect difference (0,1)",
+        ),
+    ],
+    ids=["dip", "delta-off-by-one"],
+)
+def test_validate_family_checks_members_on_its_own(monkeypatch, member, violation):
+    def refuse(sh):
+        raise AssertionError("the producer's checker was called")
+
+    monkeypatch.setattr(certificates, "shortening_violation", refuse)
+    assert fuzzing._validate_family(ShorteningFamily(2, {1: member}), V(0, 1), 2) == violation
+    good = Shortening(member.scheme, member.original, (member.original[0] - 1,), V(0, 1), Configuration(6, 6))
+    assert fuzzing._validate_family(ShorteningFamily(1, {1: good}), V(0, 1), 2) is None
 
 
 def test_run_target_deterministic():

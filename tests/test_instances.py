@@ -137,3 +137,48 @@ def test_repeated_query_line_exits_2(tmp_path, capsys):
     f.write_text(VASS_TEXT + "query 0 0 -> 1 1\n")
     assert cli.main(["decide", str(f)]) == 2
     assert "line 8: second query line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("vass\nstates p\nedge p p 1 x\n", "expected an integer, got 'x'", 3),
+        ("vass\nstates p\nquery 0 0 1 1\n", "query syntax is: query sx sy -> tx ty", 3),
+        (
+            "slps\nseg 0 0\nquery 0 -1 -> 0 0\n",
+            "configuration coordinates must be non-negative, got (0,-1)", 3,
+        ),
+        ("# kind below\nvas\n", "unknown instance kind 'vas'", 2),
+        ("vass\nstates p\nfrom p\n", "unknown directive 'from'", 3),
+        ("lps\nseg\nloop 1,0\n", "unknown directive 'loop'", 3),
+        ("slps\nseg 0 0 1\n", "seg in a simple scheme takes exactly one vector: seg x y", 2),
+        ("slps\nseg 0 0\ncyc 1,0\nseg 0 0\n", "cyc in a simple scheme takes exactly one vector: cyc x y", 3),
+        ("slps\nseg 0 0\nseg 0 1\n", "simple scheme segments must alternate seg/cyc", 3),
+        ("slps\ncyc 0 1\nseg 0 0\n", "simple scheme must start with a seg line", 2),
+        ("slps\nseg 0 0\ncyc 0 1\n", "simple scheme must end with a seg line", None),
+        ("lps\nseg 1,0\ncyc 0,1\nseg\npath 1 2\n", "path line has 2 exponents, scheme has 1 cycles", None),
+    ],
+    ids=[
+        "token", "query-syntax", "negative-query", "kind", "vass-directive", "scheme-directive",
+        "slps-seg-vector", "slps-cyc-vector", "slps-two-segs", "slps-starts-cyc", "slps-ends-cyc",
+        "path-count",
+    ],
+)
+def test_each_error_names_its_message_and_line(text, message, line):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+def test_consecutive_lps_segments_concatenate():
+    inst = parse_instance("lps\nseg 1,0\nseg\nseg 0,1 2,2\ncyc 1,1\nseg 0,2\nseg -1,0\n")
+    assert inst.scheme.alphas == ((V(1, 0), V(0, 1), V(2, 2)), (V(0, 2), V(-1, 0)))
+    assert inst.scheme.betas == ((V(1, 1),),)
+
+
+def test_the_first_of_two_errors_by_line_is_reported():
+    # a token error on a later line once beat the structural error on line 3
+    with pytest.raises(ParseError) as err:
+        parse_instance("slps\nseg 0 0\nseg 0 1\nquery 0 0 -> x 0\n")
+    assert str(err.value) == "line 3: simple scheme segments must alternate seg/cyc"

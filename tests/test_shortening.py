@@ -9,6 +9,7 @@ import pytest
 from vasskit import (
     BudgetExceededError,
     Configuration,
+    Instance,
     PlaneVector,
     PreconditionError,
     Shortening,
@@ -19,6 +20,7 @@ from vasskit import (
     shorten_close_away,
     shorten_far,
     shorten_one_visit,
+    serialize_instance,
     shortening_violation,
     slps_of,
 )
@@ -123,6 +125,71 @@ def test_shorten_away_other_case2():
     result = shorten_away_other(scheme, (170,), Configuration(175, 5), 6, 1, 1)
     assert result.case == 2
     assert result.vector == V(-1, 1)
+
+
+# inputs that take branches no golden takes, pinned with the one member
+# they make: (op argv, segments, cycles, original, source, gamma, reduced,
+# delta, whether the corridor-exit analysis went through segment surgery)
+UNGOLDENED_BRANCHES = {
+    # case 1 by a cut toward (0,1) over two heavy cycles, right after the re-entry
+    "away-other-up-cut": (
+        ["--op", "away-other", "--corridor", "6", "--cycle-cap", "2"],
+        [V(1, 1), V(0, 1), V(0, 1)], [V(1, 1), V(-1, 1)], (122, 123), (5, 5),
+        2, (121, 122), V(0, 2), False,
+    ),
+    # case 1 by a cut inside an excursion that climbs past the first re-entry
+    "away-other-excursion": (
+        ["--op", "away-other", "--corridor", "6", "--cycle-cap", "2"],
+        [V(0, 1), V(0, 1), V(0, 1)], [V(1, 1), V(-1, 1)], (122, 122), (5, 5),
+        2, (121, 121), V(0, 2), True,
+    ),
+    # the climb after the split is case 1, so no dive is matched against it
+    "one-visit-climb": (
+        ["--op", "one-visit", "--split", "2", "--corridor", "8", "--cycle-cap", "2"],
+        [V(1, -1), V(-1, 1), V(0, 1)], [V(0, -1), V(0, 1)], (1, 680), (7, 9),
+        1, (1, 679), V(0, 1), True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNGOLDENED_BRANCHES))
+def test_ungoldened_branches_are_pinned(monkeypatch, name):
+    argv, alphas, cycles, original, source, gamma, reduced, delta, surgery = UNGOLDENED_BRANCHES[name]
+    surgeries = []
+    real = shortening._segment_surgery
+    monkeypatch.setattr(shortening, "_segment_surgery", lambda *a: surgeries.append(a) or real(*a))
+    scheme, start = slps_of(alphas, cycles), Configuration(*source)
+    if argv[1] == "away-other":
+        result = shorten_away_other(scheme, original, start, 6, 1, 2)
+        assert result.case == 1
+        family = result.family
+    else:
+        family = shorten_one_visit(scheme, original, start, 2, 8, 1, 2)
+    assert family.gamma == gamma and list(family.members) == [1]
+    member = family.members[1]
+    assert (member.original, member.reduced, member.delta) == (original, reduced, delta)
+    assert bool(surgeries) == surgery
+
+
+@pytest.mark.parametrize("name", sorted(UNGOLDENED_BRANCHES))
+def test_ungoldened_branches_certify_through_the_cli(tmp_path, capsys, name):
+    argv, alphas, cycles, original, source, _gamma, reduced, delta, _surgery = UNGOLDENED_BRANCHES[name]
+    scheme = slps_of(alphas, cycles)
+    end = run(instantiate(scheme, original), Configuration(*source)).target
+    query = (Configuration(*source), Configuration(end.x, end.y))
+    f = tmp_path / f"{name}.vas"
+    f.write_text(serialize_instance(Instance("slps", scheme=scheme, exponents=original, query=query)))
+    cert = tmp_path / f"{name}.cert"
+    assert cli.main(["shorten", str(f)] + argv + ["--cert", str(cert)]) == 0
+    line = (
+        f"shortening: scheme={name}.vas original={','.join(map(str, original))}"
+        f" reduced={','.join(map(str, reduced))} delta={delta.x},{delta.y}"
+        f" source={source[0]},{source[1]}"
+    )
+    header = "case: 1\n" if argv[1] == "away-other" else ""
+    assert capsys.readouterr().out == header + line + "\n"
+    assert cli.main(["verify", str(cert)]) == 0
+    assert capsys.readouterr().out == "verify: ok\n"
 
 
 def test_shorten_away_other_threshold():

@@ -57,7 +57,7 @@ from .schemes import (
     WitnessResult,
     norm_bound,
     norm_bound_value,
-    origin_exponents,
+    origin_turns,
     search_cap,
     slps_reach,
     split_lps,

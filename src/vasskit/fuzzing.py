@@ -109,34 +109,34 @@ def oracle_cone_member(a: PlaneVector, b: PlaneVector, c: PlaneVector) -> bool:
 
 
 def oracle_zero_combination_exists(cone_set) -> bool:
-    """Bounded coefficient enumeration over supports of size <= 3."""
-    vectors = sorted(cone_set)
-    if any(v.is_zero() for v in vectors):
+    """Bounded coefficient enumeration over supports of size <= 3: some
+    x1*a + x2*b (x2 = 0 for a pair) equals -k*c with every coefficient in
+    [1, 2*norm^2].  It walks the sorted vectors as int pairs and solves
+    for the last coefficient k by one division."""
+    vectors = sorted((v.x, v.y) for v in cone_set)
+    if (0, 0) in vectors:
         return True
-    bound = 2 * cones.set_norm(vectors) ** 2
-    for i, a in enumerate(vectors):
-        for b in vectors[i + 1:]:
-            for x1 in range(1, bound + 1):
-                if _divides(b, a.scale(-x1), bound):
+    bound = 2 * cones.set_norm(cone_set) ** 2
+    coefficients = range(1, bound + 1)
+    for i, (ax, ay) in enumerate(vectors):
+        for cx, cy in vectors[i + 1:]:
+            for x1 in coefficients:
+                tx, ty = -x1 * ax, -x1 * ay
+                k = tx // cx if cx else ty // cy
+                if 1 <= k <= bound and k * cx == tx and k * cy == ty:
                     return True
-    for i, a in enumerate(vectors):
+    for i, (ax, ay) in enumerate(vectors):
         for j in range(i + 1, len(vectors)):
-            b = vectors[j]
-            for c in vectors[j + 1:]:
-                for x1 in range(1, bound + 1):
-                    ax = a.scale(x1)
-                    for x2 in range(1, bound + 1):
-                        if _divides(c, -(ax + b.scale(x2)), bound):
+            bx, by = vectors[j]
+            for cx, cy in vectors[j + 1:]:
+                for x1 in coefficients:
+                    px, py = -x1 * ax, -x1 * ay
+                    for x2 in coefficients:
+                        tx, ty = px - x2 * bx, py - x2 * by
+                        k = tx // cx if cx else ty // cy
+                        if 1 <= k <= bound and k * cx == tx and k * cy == ty:
                             return True
     return False
-
-
-def _divides(v: PlaneVector, target: PlaneVector, bound: int) -> bool:
-    """Whether target = k*v for some integer k in [1, bound]."""
-    if v.is_zero():
-        return False
-    k = target.x // v.x if v.x != 0 else target.y // v.y
-    return 1 <= k <= bound and v.scale(k) == target
 
 
 @functools.cache
@@ -554,29 +554,30 @@ def bounded_relation(blocks, max_len: int):
     The drop is the component-wise minimum displacement over all
     prefixes, so a path is admissible from s exactly when s + drop >= 0,
     making the result source-independent.  Zero-effect cycles are taken
-    at most once: extra turns only add length.
+    at most once, and identity cycles (zero effect, no prefix below zero)
+    never: extra turns only add length.  Each run of segments and
+    identity cycles is one step (``_fixed_runs``), which extends every
+    exponent tuple by the run's zeros.
     """
     states: dict[tuple, tuple] = {(0, 0, 0, 0, 0): ()}
-    for is_cycle, length, wx, wy, drop_x, drop_y in blocks:
+    for is_cycle, length, wx, wy, drop_x, drop_y, zeros in _fixed_runs(blocks):
         nxt: dict[tuple, tuple] = {}
         if not is_cycle:
             for (ln, ex, ey, dx, dy), exps in states.items():
                 if ln + length > max_len:
                     continue
+                low_x, low_y = ex + drop_x, ey + drop_y
                 key = (
                     ln + length, ex + wx, ey + wy,
-                    min(dx, ex + drop_x), min(dy, ey + drop_y),
+                    low_x if low_x < dx else dx, low_y if low_y < dy else dy,
                 )
                 if key not in nxt:
-                    nxt[key] = exps
+                    nxt[key] = exps + zeros
         else:
-            still = wx == 0 and wy == 0
-            max_turns = 1 if still else max_len
+            max_turns = 1 if wx == 0 and wy == 0 else max_len
             for (ln, ex, ey, dx, dy), exps in states.items():
                 if (ln, ex, ey, dx, dy) not in nxt:
                     nxt[(ln, ex, ey, dx, dy)] = exps + (0,)
-                if still and drop_x == 0 and drop_y == 0:
-                    continue
                 cx, cy, cdx, cdy, cln = ex, ey, dx, dy, ln
                 for n in range(1, max_turns + 1):
                     cln += length
@@ -595,15 +596,49 @@ def bounded_relation(blocks, max_len: int):
     return states
 
 
+_EMPTY = (0, 0, 0, 0, 0)  # the empty word: (length, wx, wy, bx, by)
+
+
+def _fixed_runs(blocks):
+    """``blocks`` as (is_cycle, length, wx, wy, bx, by, zeros) steps: each
+    maximal run of segments and identity cycles folds into one segment
+    step (``_then``) whose zeros hold one 0 exponent per identity cycle in
+    it, and every other cycle is a step of its own with no zeros."""
+    steps = []
+    fixed, zeros = _EMPTY, ()
+    for block in blocks:
+        is_cycle, _length, wx, wy, bx, by = block
+        if not is_cycle:
+            fixed = _then(fixed, block)
+        elif (wx, wy, bx, by) == (0, 0, 0, 0):
+            zeros += (0,)
+        else:
+            steps += [(False, *fixed, zeros), (*block, ())]
+            fixed, zeros = _EMPTY, ()
+    steps.append((False, *fixed, zeros))
+    return steps
+
+
+def _then(summary, block):
+    """The (length, wx, wy, bx, by) summary of a word with that
+    ``summary`` followed by one turn of ``block``."""
+    length, wx, wy, bx, by = summary
+    _is_cycle, b_length, b_wx, b_wy, b_bx, b_by = block
+    return (
+        length + b_length, wx + b_wx, wy + b_wy,
+        min(bx, wx + b_bx), min(by, wy + b_by),
+    )
+
+
 def _block_summaries(scheme: Lps) -> tuple[tuple[bool, int, int, int, int, int], ...]:
     """One (is_cycle, length, wx, wy, bx, by) summary per block of
     a0 b1 a1 ... bK aK, in order: the block's effect w and its least
     prefix b, per axis (b <= min(0, w), the empty prefix included).
 
-    ``bounded_relation`` and ``_compose`` read a scheme only through these
-    summaries, so the split checker (``_check_thm12``) makes one pass over
-    each scheme's letters, composes every path profile it needs in plain
-    ints, and never builds or runs a word.
+    ``bounded_relation``, ``_compose`` and ``_origin_map`` read a scheme
+    only through these summaries, so the split checker (``_check_thm12``)
+    makes one pass over each scheme's letters, composes every path
+    profile it needs in plain ints, and never builds or runs a word.
     """
     words = [scheme.alphas[0]]
     for beta, alpha in zip(scheme.betas, scheme.alphas[1:]):
@@ -701,11 +736,14 @@ def _lost_target(origin, union) -> Optional[tuple[tuple[int, int], tuple[int, in
     targets from one source, so effect e loses its target at (x, y)
     exactly when the origin's threshold <= y < the union's threshold and
     (x, y) + e lies in the box.  An effect that lands outside the box from
-    every source is skipped.
+    every source is skipped, and so is one whose union buckets equal the
+    origin's, since equal buckets give equal thresholds.
     """
     best = None
-    for ex, ey in origin:
+    for (ex, ey), row in origin.items():
         if not (-_SOURCES[-1] <= ex <= _BOX and -_SOURCES[-1] <= ey <= _BOX):
+            continue
+        if union.get((ex, ey)) == row:
             continue
         here = _thresholds(origin, (ex, ey))
         there = _thresholds(union, (ex, ey))
@@ -721,6 +759,29 @@ def _lost_target(origin, union) -> Optional[tuple[tuple[int, int], tuple[int, in
     return best
 
 
+def _origin_map(origin_blocks, member: schemes.SlpsMember):
+    """A member's map from its path exponents to its origin path, built
+    once per member from ``schemes.origin_turns``: (head, steps).  Origin
+    cycles taken a fixed number of times (an omitted one never, an
+    unrolled one once) fold with the segments into fixed runs (``_then``).
+    ``head`` is the run before the first cycle that takes a member
+    exponent, and each step (position, turns, block, tail) is such a
+    cycle, taken turns (>= 1) times plus the exponent at position,
+    followed by the run up to the next one."""
+    turns = iter(schemes.origin_turns(member))
+    fixed_runs = [_EMPTY]
+    cycles = []
+    for block in origin_blocks:
+        fixed, pos = next(turns) if block[0] else (1, None)
+        if pos is None:
+            for _turn in range(fixed):
+                fixed_runs[-1] = _then(fixed_runs[-1], block)
+        else:
+            cycles.append((pos, fixed, block))
+            fixed_runs.append(_EMPTY)
+    return fixed_runs[0], [(*cycle, tail) for cycle, tail in zip(cycles, fixed_runs[1:])]
+
+
 def _check_thm12(scheme: Lps) -> Optional[str]:
     size = max(scheme.length, 1)
     norm = scheme.norm
@@ -734,11 +795,31 @@ def _check_thm12(scheme: Lps) -> Optional[str]:
         if member.scheme.norm > max(2 * norm * size, norm):
             return f"member norm {member.scheme.norm} exceeds 2*norm*|L|"
         member_states = bounded_relation(_block_summaries(member.scheme), max_len)
+        head, steps = _origin_map(origin_blocks, member)
         # every member path must map to a genuine origin path: same
-        # effect, same admissibility threshold, boundedly longer
+        # effect, same admissibility threshold, boundedly longer; the
+        # origin path composes as in ``_compose``, one step per cycle
+        # that takes a member exponent
         for (ln, ex, ey, dx, dy), exps in member_states.items():
-            reps = schemes.origin_exponents(member, exps, scheme.K)
-            oln, oex, oey, odx, ody = _compose(origin_blocks, reps)
+            oln, oex, oey, odx, ody = head
+            for pos, fixed, (_c, length, wx, wy, bx, by), (tln, twx, twy, tbx, tby) in steps:
+                n = exps[pos] + fixed
+                low_x = oex + bx + ((n - 1) * wx if wx < 0 else 0)
+                low_y = oey + by + ((n - 1) * wy if wy < 0 else 0)
+                if low_x < odx:
+                    odx = low_x
+                if low_y < ody:
+                    ody = low_y
+                oex += n * wx
+                oey += n * wy
+                oln += n * length
+                if oex + tbx < odx:
+                    odx = oex + tbx
+                if oey + tby < ody:
+                    ody = oey + tby
+                oex += twx
+                oey += twy
+                oln += tln
             if (oex, oey) != (ex, ey):
                 return f"profile {member.profile}: origin effect {PlaneVector(oex, oey)} != ({ex},{ey})"
             if (odx, ody) != (dx, dy):

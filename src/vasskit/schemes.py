@@ -89,17 +89,17 @@ def split_lps(scheme: Lps) -> Iterator[SlpsMember]:
     return walk(0, (), (), (), (), alphas[0])
 
 
-def origin_exponents(member: SlpsMember, exponents: SchemePath, origin_cycles: int) -> SchemePath:
-    """Map a member path back to origin-cycle repetition counts: omitted
-    cycles contribute 0, unrolled ones 1, normalized ones m+2."""
-    reps = [0] * origin_cycles
-    for i, usage in enumerate(member.profile):
-        if usage == 1:
-            reps[i] = 1
+def origin_turns(member: SlpsMember) -> tuple[tuple[int, Optional[int]], ...]:
+    """How a member path takes each origin cycle, as (turns, position): the
+    cycle is taken ``turns`` times plus the member path's exponent at cycle
+    ``position`` (None: no exponent).  Omitted cycles are (0, None),
+    unrolled ones (1, None) and normalized ones (2, position), since m
+    turns of the effect letter stand for m+2 turns of the cycle."""
+    turns = [(1 if usage == 1 else 0, None) for usage in member.profile]
     for pos, origin in enumerate(member.cycle_origin):
         if origin is not None:
-            reps[origin] = exponents[pos] + 2
-    return tuple(reps)
+            turns[origin] = (2, pos)
+    return tuple(turns)
 
 
 def norm_bound_value(cycles: int, norm: int) -> int:

@@ -55,6 +55,45 @@ def test_bounded_relation_single_cycle():
     assert effects == {(0, n) for n in range(5)}  # two zero letters + up to 4 turns
 
 
+def _composed_profiles(blocks, max_len):
+    """Every path profile through ``blocks`` with at most max_len letters,
+    by ``_compose`` on each exponent tuple: zero-effect cycles at most
+    once, identity cycles (zero effect and least prefix) never."""
+    fixed = sum(length for is_cycle, length, *_ in blocks if not is_cycle)
+    cycles = [block for block in blocks if block[0]]
+    found = set()
+
+    def extend(i, exps, spare):
+        if i == len(cycles):
+            found.add(fuzzing._compose(blocks, exps))
+            return
+        _is_cycle, length, wx, wy, bx, by = cycles[i]
+        top = spare // length
+        if (wx, wy) == (0, 0):
+            top = min(top, 0 if (bx, by) == (0, 0) else 1)
+        for n in range(top + 1):
+            extend(i + 1, exps + (n,), spare - n * length)
+
+    if fixed <= max_len:
+        extend(0, (), max_len - fixed)
+    return found
+
+
+def test_bounded_relation_matches_composed_profiles():
+    rng = Random(21)
+    checked = 0
+    for _ in range(200):
+        scheme = fuzzing._gen_lps(rng)
+        for candidate in (scheme, *(m.scheme for m in schemes.split_lps(scheme))):
+            blocks = fuzzing._block_summaries(candidate)
+            states = fuzzing.bounded_relation(blocks, 8)
+            assert set(states) == _composed_profiles(blocks, 8), candidate
+            for key, exps in states.items():
+                assert fuzzing._compose(blocks, exps) == key, (candidate, exps)
+            checked += len(states)
+    assert checked > 6000
+
+
 def test_path_profile_matches_run():
     scheme = Lps(((V(0, 1),), ()), ((V(1, -1), V(-1, 1)),))
     cases = [(scheme, (3,))]
@@ -195,6 +234,58 @@ def test_thm12_reports_the_first_lost_target(monkeypatch, scheme, dropped, viola
 
     assert fuzzing._check_thm12(scheme) is None
     monkeypatch.setattr(schemes, "split_lps", without_member)
+    assert fuzzing._check_thm12(scheme) == violation
+
+
+def _swapped_origins(scheme, profile):
+    member = {m.profile: m for m in schemes.split_lps(scheme)}[profile]
+    first, second = (pos for pos, o in enumerate(member.cycle_origin) if o is not None)
+    origins = list(member.cycle_origin)
+    origins[first], origins[second] = origins[second], origins[first]
+    return schemes.SlpsMember(member.scheme, profile, tuple(origins))
+
+
+TWO_CYCLES = Lps(((), (V(1, 0),), ()), ((V(0, 1),), (V(1, 1),)))
+
+
+@pytest.mark.parametrize(
+    "scheme, member, violation",
+    [
+        (
+            Lps(((V(1, 0),), ()), ((V(0, 1),),)),
+            schemes.SlpsMember(slps_of([ZERO] * 10, [ZERO] * 9), (0,), (None,) * 9),
+            "member length 19 exceeds 4*|L| = 8",
+        ),
+        (
+            Lps(((V(1, 0),), ()), ((V(0, 1),),)),
+            schemes.SlpsMember(slps_of([V(9, 0)], []), (0,), ()),
+            "member norm 9 exceeds 2*norm*|L|",
+        ),
+        (
+            TWO_CYCLES,
+            _swapped_origins(TWO_CYCLES, (2, 2)),
+            "profile (2, 2): origin effect (3,5) != (4,5)",
+        ),
+        (
+            Lps(((V(1, 0), V(-1, 0)),), ()),
+            schemes.SlpsMember(slps_of([V(-1, 0), V(1, 0)], [ZERO]), (), (None,)),
+            "profile (): origin drop (0,0) != (-1,0)",
+        ),
+        (
+            Lps(((), ()), ((V(1, 0), V(-1, 0)),)),
+            schemes.SlpsMember(Lps(((), ()), ((ZERO,),)), (2,), (0,)),
+            "profile (2,): origin length 4 exceeds |path|*|L|",
+        ),
+    ],
+    ids=["member-length", "member-norm", "origin-effect", "origin-drop", "origin-length"],
+)
+def test_thm12_checks_each_member_against_the_origin(monkeypatch, scheme, member, violation):
+    """A split yielding one faulty member: too long, of too large a norm,
+    or with a path whose origin path differs in effect (cycle positions
+    mapped to swapped origin cycles) or drop (letters reordered), or is
+    too long (the unrolled copies left out)."""
+    assert fuzzing._check_thm12(scheme) is None
+    monkeypatch.setattr(schemes, "split_lps", lambda origin: iter((member,)))
     assert fuzzing._check_thm12(scheme) == violation
 
 

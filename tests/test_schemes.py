@@ -20,7 +20,7 @@ from vasskit import (
     instantiate,
     norm_bound,
     norm_bound_value,
-    origin_exponents,
+    origin_turns,
     run,
     search_cap,
     slps_of,
@@ -91,10 +91,13 @@ def test_split_lps_members_share_the_input_letters():
 def test_split_lps_origin_mapping():
     scheme = Lps(((), ()), ((V(1, -2), V(0, 1)),))
     by_profile = {m.profile: m for m in split_lps(scheme)}
+    assert origin_turns(by_profile[(0,)]) == ((0, None),)
+    assert origin_turns(by_profile[(1,)]) == ((1, None),)
     member = by_profile[(2,)]
+    pos = member.cycle_origin.index(0)
+    assert origin_turns(member) == ((2, pos),)
     exps = tuple(3 if origin is not None else 0 for origin in member.cycle_origin)
-    reps = origin_exponents(member, exps, scheme.K)
-    assert reps == (5,)  # m turns of the effect letter stand for m+2 cycles
+    reps = (exps[pos] + 2,)  # m turns of the effect letter stand for m+2 cycles
     member_word = instantiate(member.scheme, exps)
     origin = instantiate_lps(scheme, reps)
     assert effect(member_word) == effect(origin)

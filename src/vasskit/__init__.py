@@ -7,6 +7,8 @@ loop lemma) are checked by the test suite instead.
 """
 
 from .core import (
+    REACHABLE,
+    UNREACHABLE_WITHIN_CAP,
     Configuration,
     Lps,
     PlaneVector,
@@ -14,6 +16,8 @@ from .core import (
     SchemePath,
     Slps,
     Vass,
+    Verdict,
+    WitnessResult,
     Word,
     ZERO,
     effect,
@@ -23,7 +27,7 @@ from .core import (
     slps_of,
     word_norm,
 )
-from .certificates import Shortening, shortening_violation, witness_violation
+from .certificates import Shortening, brute_force_oracle, shortening_violation, witness_violation
 from .cones import (
     ZeroCombination,
     cone_contains,
@@ -36,14 +40,7 @@ from .cones import (
     set_norm,
     zero_combination,
 )
-from .decide import (
-    REACHABLE,
-    UNREACHABLE_WITHIN_CAP,
-    Verdict,
-    brute_force_oracle,
-    decide_capped_bfs,
-    default_cap,
-)
+from .decide import decide_capped_bfs, default_cap
 from .errors import (
     BudgetExceededError,
     InternalDefectError,
@@ -54,7 +51,6 @@ from .errors import (
 from .instances import Instance, load_instance, parse_instance, serialize_instance
 from .schemes import (
     SlpsMember,
-    WitnessResult,
     norm_bound,
     norm_bound_value,
     origin_turns,

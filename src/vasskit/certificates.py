@@ -17,10 +17,14 @@ norm's largest are at its ends.  So neither ``shortening_violation``
 (which the shortening operations also run on what they build) nor a
 ``reachable=true`` result builds a word.  Verdict witnesses are re-run
 against the automaton, and negative answers are re-decided by
-``brute_force_oracle``, which shares no code with the searches that
-produced them: "unreachable within cap" verdicts under the stated cap
-and bound, and simple-scheme "reachable=false" results on the scheme's
-path automaton under the cap of the simple-scheme bound.
+``brute_force_oracle``, a naive search defined here that shares no code
+with the searches that produced them: "unreachable within cap" verdicts
+under the stated cap and bound, and simple-scheme "reachable=false"
+results on the scheme's path automaton under the cap of the
+simple-scheme bound.  The checker computes that cap itself
+(``_paper_cap``), from its own copy of the paper's formula, and imports
+only ``core``, ``errors`` and ``instances``, so a wrong negative from a
+producer whose cap falls short of the paper's is rejected.
 """
 
 from __future__ import annotations
@@ -29,11 +33,12 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Configuration, PlaneVector, SchemePath, Slps, Vass, Word, require_path, run
-from .decide import REACHABLE, UNREACHABLE_WITHIN_CAP, Verdict, brute_force_oracle
-from .errors import ParseError
+from .core import (
+    REACHABLE, UNREACHABLE_WITHIN_CAP, Configuration, PlaneVector, SchemePath, Slps, Vass, Verdict,
+    WitnessResult, Word, require_path, run,
+)
+from .errors import BudgetExceededError, ParseError, PreconditionError
 from .instances import Instance, _meaningful_lines, load_instance, parse_pair
-from .schemes import WitnessResult, search_cap
 
 
 def _fields(rest: str, lineno: Optional[int] = None) -> dict[str, str]:
@@ -336,7 +341,7 @@ def _check_result(result: WitnessResult, instance: Optional[Instance], lineno: i
         if result.max_visited_norm != max(max(corner) for corner in corners):
             return [f"line {lineno}: stated maxnorm does not match the witness run"]
         return []
-    again = brute_force_oracle(_path_vass(scheme), s, t, search_cap(scheme, s, t), budget=2_000_000)
+    again = brute_force_oracle(_path_vass(scheme), s, t, _paper_cap(scheme, s, t), budget=2_000_000)
     if again.kind != UNREACHABLE_WITHIN_CAP:
         return [f"line {lineno}: re-decision disagrees on reachability"]
     return []
@@ -350,3 +355,52 @@ def _path_vass(scheme: Slps) -> Vass:
     edges = [(states[i], scheme.alpha_vec(i), states[i + 1]) for i in range(scheme.K + 1)]
     edges += [(states[i + 1], scheme.beta_vec(i), states[i + 1]) for i in range(scheme.K)]
     return Vass(states, tuple(edges), frozenset({states[0]}), frozenset({states[-1]}))
+
+
+def _paper_cap(scheme: Slps, source: Configuration, target: Configuration) -> int:
+    """The paper's norm cap of a simple-scheme query, ceil(2914.5 * (K+2) * n^15) for n
+    the largest scheme or endpoint norm: ``schemes.search_cap``, copied on purpose."""
+    return (5829 * (scheme.K + 2) * max(scheme.norm, source.norm, target.norm) ** 15 + 1) // 2
+
+
+def brute_force_oracle(
+    vass: Vass, source: Configuration, target: Configuration, cap: int,
+    budget: int = 200_000, length_bound: Optional[int] = None,
+) -> Verdict:
+    """Independent oracle: naive level-set fixpoint over explicit word
+    prefixes within the cap, no data structures shared with the decider.
+    With a length bound it stops after that many levels.
+
+    Returns the same verdict kind, and for positive answers the length of
+    a shortest in-cap witness (no witness word is produced).  ``explored``
+    is the number of nodes in the levels expanded before the answer.
+    """
+    if length_bound is not None and length_bound < 0:
+        raise PreconditionError(f"length bound {length_bound} is negative")
+    level = {(q, source.x, source.y) for q in vass.initial}
+    seen = set(level)
+    explored = 0
+    length = 0
+    goal = {(q, target.x, target.y) for q in vass.accepting}
+    while level:
+        if level & goal:
+            return Verdict(
+                kind=REACHABLE, cap=cap, explored=explored, length=length, bound=length_bound
+            )
+        if length == length_bound:
+            break
+        explored += len(level)
+        if explored > budget:
+            raise BudgetExceededError(f"oracle exceeded its budget of {budget} states")
+        nxt = set()
+        for q, x, y in level:
+            for p, letter, r in vass.edges:
+                if p != q:
+                    continue
+                nx, ny = x + letter.x, y + letter.y
+                if 0 <= nx <= cap and 0 <= ny <= cap and (r, nx, ny) not in seen:
+                    nxt.add((r, nx, ny))
+        seen |= nxt
+        level = nxt
+        length += 1
+    return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=explored, bound=length_bound)

@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from . import certificates, decide, fuzzing, schemes, shortening
-from .core import Configuration, instantiate, run
+from .core import REACHABLE, Configuration, instantiate, run
 from .errors import BudgetExceededError, ParseError, PreconditionError, VasskitError
 from .instances import Instance, load_instance, parse_pair, serialize_instance
 
@@ -63,7 +63,7 @@ def _cmd_decide(args, out) -> int:
         _print_trace(verdict.witness, s, out)
     if args.cert:
         _write_certificate(args.cert, args.file, [certificates.serialize_verdict(verdict)])
-    return EXIT_OK if verdict.kind == decide.REACHABLE else EXIT_NEGATIVE
+    return EXIT_OK if verdict.kind == REACHABLE else EXIT_NEGATIVE
 
 
 def _cmd_slps_decide(args, out) -> int:

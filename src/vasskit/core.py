@@ -5,13 +5,15 @@ running a word from a configuration yields the sequence of visited points,
 and the word is admissible iff every visited point stays in N^2.  Linear
 path schemes are flat regular expressions a0 b1* a1 ... bK* aK over the
 vector alphabet; the simple variant restricts every segment and cycle to a
-single letter.
+single letter.  The answer records of the deciders, ``Verdict`` and
+``WitnessResult``, live here too, so that the deciders and the certificate
+checker share them without importing each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, PreconditionError
 
@@ -272,3 +274,37 @@ def require_bounded_path(scheme: Lps, exponents: SchemePath) -> None:
     length = path_length(scheme, exponents)
     if length > MAX_PATH_LENGTH:
         raise BudgetExceededError(f"path of {length} letters exceeds the limit of {MAX_PATH_LENGTH}")
+
+
+# the answer records of the deciders
+REACHABLE = "Reachable"
+UNREACHABLE_WITHIN_CAP = "UnreachableWithinCap"
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A decision with provenance: the cap and any length bound used, the
+    witness (word and state trace) when reachable, and ``explored``, the
+    number of nodes in the BFS levels expanded before the answer."""
+
+    kind: str
+    cap: int
+    witness: Optional[Word] = None
+    states: Optional[tuple[str, ...]] = None
+    explored: int = 0
+    length: Optional[int] = None  # witness length; oracles report it without a word
+    bound: Optional[int] = None  # the length bound of a length-bounded search
+
+    def __post_init__(self):
+        if self.witness is not None and self.length is None:
+            object.__setattr__(self, "length", len(self.witness))
+
+
+@dataclass(frozen=True)
+class WitnessResult:
+    """Outcome of a complete simple-scheme decision."""
+
+    reachable: bool
+    member: Optional[int] = None
+    exponents: Optional[SchemePath] = None
+    max_visited_norm: Optional[int] = None

@@ -10,13 +10,13 @@ schemes: ``schemes.slps_reach`` runs it on a scheme's path automaton at a
 cap backed by an explicit bound, so there, and only there, a negative
 answer is unconditional.
 
-Both forms of the kernel and ``brute_force_oracle`` keep one level
-contract.  Level d holds the pairs first reached by d letters.  Before it
-is expanded, the search returns the first goal in it, stops if d is the
-optional length bound, adds the level's size to ``explored``, and raises
-BudgetExceededError if that passes the budget, naming depth d and the
-largest counter in the level.  So ``explored`` counts the pairs of the
-levels expanded before the answer.
+Both forms of the kernel and ``certificates.brute_force_oracle`` keep
+one level contract.  Level d holds the pairs first reached by d letters.
+Before it is expanded, the search returns the first goal in it, stops if
+d is the optional length bound, adds the level's size to ``explored``,
+and raises BudgetExceededError if that passes the budget, naming depth d
+and the largest counter in the level.  So ``explored`` counts the pairs
+of the levels expanded before the answer.
 
 The kernel stores the nodes in one of two forms, chosen per call by the
 size of the grid: padded grids of at most ``GRID_BITS`` bits per
@@ -73,39 +73,21 @@ state, edge position, edge position, ...), and both forms return the one
 to the first goal in that order, with the same state trace.
 
 ``brute_force_oracle`` is a separate, deliberately naive search that
-shares no code with the kernel, so that it can cross-check it; verifying
-an "unreachable within cap" certificate runs it, not the kernel.
+shares no code with the kernel, so that it can cross-check it.  It lives
+in ``certificates``, whose check of an "unreachable within cap"
+certificate runs it, not the kernel; ``decide.brute_force_oracle`` is
+only a re-export of it, the name the benchmark harness calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import Configuration, PlaneVector, Vass, Word
+from . import certificates
+from .core import REACHABLE, UNREACHABLE_WITHIN_CAP, Configuration, PlaneVector, Vass, Verdict
 from .errors import BudgetExceededError, PreconditionError
 
-REACHABLE = "Reachable"
-UNREACHABLE_WITHIN_CAP = "UnreachableWithinCap"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """A decision with provenance: the cap and any length bound used, the
-    witness (word and state trace) when reachable, and ``explored``, the
-    number of nodes in the BFS levels expanded before the answer."""
-
-    kind: str
-    cap: int
-    witness: Optional[Word] = None
-    states: Optional[tuple[str, ...]] = None
-    explored: int = 0
-    length: Optional[int] = None  # witness length; oracles report it without a word
-    bound: Optional[int] = None  # the length bound of a length-bounded search
-
-    def __post_init__(self):
-        if self.witness is not None and self.length is None:
-            object.__setattr__(self, "length", len(self.witness))
+brute_force_oracle = certificates.brute_force_oracle  # perfbench calls decide.brute_force_oracle
 
 
 def default_cap(vass: Vass, source: Configuration, target: Configuration) -> int:
@@ -394,47 +376,4 @@ def _sparse_bfs(vass, source, target, cap, length_bound, budget):
                         push(nxt)
         frontier = nxt_frontier
         depth += 1
-    return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=explored, bound=length_bound)
-
-
-def brute_force_oracle(
-    vass: Vass, source: Configuration, target: Configuration, cap: int,
-    budget: int = 200_000, length_bound: Optional[int] = None,
-) -> Verdict:
-    """Independent oracle: naive level-set fixpoint over explicit word
-    prefixes within the cap, no data structures shared with the decider.
-    With a length bound it stops after that many levels.
-
-    Returns the same verdict kind, and for positive answers the length of
-    a shortest in-cap witness (no witness word is produced).  ``explored``
-    is the number of nodes in the levels expanded before the answer.
-    """
-    if length_bound is not None and length_bound < 0:
-        raise PreconditionError(f"length bound {length_bound} is negative")
-    level = {(q, source.x, source.y) for q in vass.initial}
-    seen = set(level)
-    explored = 0
-    length = 0
-    goal = {(q, target.x, target.y) for q in vass.accepting}
-    while level:
-        if level & goal:
-            return Verdict(
-                kind=REACHABLE, cap=cap, explored=explored, length=length, bound=length_bound
-            )
-        if length == length_bound:
-            break
-        explored += len(level)
-        if explored > budget:
-            raise BudgetExceededError(f"oracle exceeded its budget of {budget} states")
-        nxt = set()
-        for q, x, y in level:
-            for p, letter, r in vass.edges:
-                if p != q:
-                    continue
-                nx, ny = x + letter.x, y + letter.y
-                if 0 <= nx <= cap and 0 <= ny <= cap and (r, nx, ny) not in seen:
-                    nxt.add((r, nx, ny))
-        seen |= nxt
-        level = nxt
-        length += 1
     return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=explored, bound=length_bound)

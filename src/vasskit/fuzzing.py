@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Optional
 
 from . import certificates, cones, decide, schemes, shortening
 from .core import (
+    REACHABLE,
     Configuration,
     Lps,
     PlaneVector,
@@ -516,12 +517,12 @@ def _check_thm10(scheme) -> Optional[str]:
     length = path_length(scheme, result.exponents)
     # the verifier's path automaton and oracle share no code with the search
     try:
-        oracle = decide.brute_force_oracle(
+        oracle = certificates.brute_force_oracle(
             certificates._path_vass(scheme), ORIGIN, ORIGIN, peak + 40, budget=500_000
         )
     except BudgetExceededError:
         return None
-    if oracle.kind != decide.REACHABLE:
+    if oracle.kind != REACHABLE:
         return f"brute-force oracle finds no 0 -> 0 path within norm {peak + 40}"
     if oracle.length != length:
         return f"length {length} differs from the brute-force oracle's {oracle.length}"
@@ -857,19 +858,19 @@ def _gen_decider(rng: Random):
 def _check_decider(case) -> Optional[str]:
     vass, s, t, cap = case
     fast = decide.decide_capped_bfs(vass, s, t, cap)
-    slow = decide.brute_force_oracle(vass, s, t, cap)
+    slow = certificates.brute_force_oracle(vass, s, t, cap)
     if fast.kind != slow.kind:
         return f"verdicts diverge: {fast.kind} vs oracle {slow.kind}"
     if fast.explored != slow.explored:
         return f"explored {fast.explored} states, oracle {slow.explored}"
-    if fast.kind == decide.REACHABLE:
+    if fast.kind == REACHABLE:
         if fast.length != slow.length:
             return f"witness length {fast.length} differs from oracle {slow.length}"
         reason = certificates.witness_violation(vass, s, t, fast.witness, fast.states)
         if reason is not None:
             return f"witness fails validation: {reason}"
         wider = decide.decide_capped_bfs(vass, s, t, cap + 10)
-        if wider.kind != decide.REACHABLE or wider.length > fast.length:
+        if wider.kind != REACHABLE or wider.length > fast.length:
             return "enlarging the cap degraded the verdict"
     return None
 

@@ -21,9 +21,9 @@ from .core import (
     Configuration,
     Lps,
     PlaneVector,
-    SchemePath,
     Slps,
     Vass,
+    WitnessResult,
     ZERO,
     effect,
 )
@@ -111,16 +111,6 @@ def norm_bound_value(cycles: int, norm: int) -> int:
 
 def norm_bound(scheme: Slps) -> int:
     return norm_bound_value(scheme.K, scheme.norm)
-
-
-@dataclass(frozen=True)
-class WitnessResult:
-    """Outcome of a complete simple-scheme decision."""
-
-    reachable: bool
-    member: Optional[int] = None
-    exponents: Optional[SchemePath] = None
-    max_visited_norm: Optional[int] = None
 
 
 def _path_automaton(scheme: Slps) -> Vass:

@@ -3,6 +3,7 @@
 import inspect
 import os
 import sys
+from random import Random
 
 import pytest
 
@@ -147,6 +148,31 @@ def test_verify_scheme_negative_does_not_trust_slps_reach(tmp_path, monkeypatch)
     assert verify_certificate_file(str(cert)) != []
     bundled = os.path.join(GOLDENS_DIR, "certs", "g10-slps-unreach.cert")
     assert verify_certificate_file(bundled) == []
+
+
+def test_verify_scheme_negative_does_not_trust_search_cap(tmp_path, monkeypatch, capsys):
+    def endpoint_cap(scheme, source, target):
+        return max(source.norm, target.norm)
+
+    monkeypatch.setattr(schemes, "search_cap", endpoint_cap)
+    monkeypatch.setattr(certificates, "search_cap", endpoint_cap, raising=False)
+    (tmp_path / "down.vas").write_text("slps\nseg 5 0\ncyc -1 0\nseg 0 0\nquery 0 0 -> 0 0\n")
+    cert = tmp_path / "down.cert"
+    assert cli.main(["slps-decide", str(tmp_path / "down.vas"), "--cert", str(cert)]) == 1
+    assert "kind=Unreachable" in capsys.readouterr().out  # though exponent 5 reaches the target
+    assert verify_certificate_file(str(cert)) == [
+        "line 2: re-decision disagrees on reachability"
+    ]
+
+
+def test_checker_paper_cap_agrees_with_search_cap():
+    rng = Random(23)
+    for _ in range(300):
+        k = rng.randint(0, 4)
+        letters = [V(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2 * k + 1)]
+        scheme = slps_of(letters[: k + 1], letters[k + 1 :])
+        s, t = (Configuration(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(2))
+        assert certificates._paper_cap(scheme, s, t) == schemes.search_cap(scheme, s, t)
 
 
 def _bundled_certs(*kinds):

@@ -41,8 +41,9 @@ def test_membership_oracle_on_pairs():
 
 def test_enumeration_oracle_matches_membership():
     rng = Random(13)
-    for _ in range(100):
-        cone_set = fuzzing._gen_vector_set(rng)
+    # its only zero combination takes 2 = 2*norm^2, the top coefficient, on (1,0)
+    top = frozenset({V(-1, -1), V(-1, 1), V(1, 0)})
+    for cone_set in [fuzzing._gen_vector_set(rng) for _ in range(100)] + [top]:
         assert fuzzing.oracle_zero_combination_exists(cone_set) == cone_contains_zero(
             cone_set
         )

@@ -85,17 +85,14 @@ def test_every_private_definition_is_referenced():
 
 
 def test_certificates_imports_no_check_from_a_producer():
-    """A certificate checker imports no check from the module that
-    produced the certificate: nothing from ``shortening``, and from
-    ``decide`` only the verdict names and the independent oracle."""
+    """A certificate checker imports no check, cap or arithmetic from a
+    module that produces certificates: only the domain types and answer
+    records of ``core``, the errors and the instance reader."""
     with open(os.path.join(SRC_DIR, "certificates.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), filename="certificates.py")
-    imported = {}
+    imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
-            for alias in node.names:  # ``from . import m`` imports all of m
-                module, name = (node.module, alias.name) if node.module else (alias.name, "*")
-                imported.setdefault(module, set()).add(name)
-    assert "shortening" not in imported
-    verdicts = {"REACHABLE", "UNREACHABLE_WITHIN_CAP", "Verdict"}
-    assert imported["decide"] <= verdicts | {"brute_force_oracle"}
+            # ``from . import m`` imports module m
+            imported.update([node.module] if node.module else (a.name for a in node.names))
+    assert imported <= {"core", "errors", "instances"}

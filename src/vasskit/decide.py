@@ -33,16 +33,21 @@ ends catch every step that leaves the cap, and a mask clears them.  A
 letter with a coordinate beyond the cap never fires inside it, so the
 dense form leaves it out of its shifts and of the pad P.
 
-Without a length bound it first saturates in place: each letter's shift
-of its source state's whole reached set is OR-ed into the target state's,
-sweep after sweep, until a sweep adds nothing, a goal is reached or a
-count finds more than ``budget`` nodes.  The BFS levels partition the
-in-cap reachable set, so when no goal is in it and it holds at most
-``budget`` nodes, its size is the ``explored`` of the level-by-level
-search and the answer is UnreachableWithinCap.  The set is counted at
-that fixpoint, and after any other sweep only when the last count, a
-lower bound as the set only grows, does not already keep the search
-dense under the thin test below.  A length bound, a goal
+Without a length bound it first saturates in place, one strongly
+connected component of the automaton at a time, in topological order
+(``_components``).  A component's own letters, each state's self-loops
+before its other edges, shift their source state's whole reached set and
+OR it into the target state's, sweep after sweep, until a sweep adds
+nothing; then the letters that leave the component fire once.  No later
+component feeds an earlier one, so each is swept only once its inputs
+are final.  The sweeps stop early when a goal is reached or a count
+finds more than ``budget`` nodes.  The BFS levels partition the in-cap
+reachable set, so when no goal is in it and it holds at most ``budget``
+nodes, its size is the ``explored`` of the level-by-level search and the
+answer is UnreachableWithinCap.  The set is counted at each component's
+fixpoint, and after any other sweep only when the last count, a lower
+bound as the set only grows, does not already keep the search dense
+under the thin test below.  A length bound, a goal
 or a larger set runs the levels: each level is the shifted previous one
 minus the nodes already seen.  The level that holds a goal is answered
 from the levels kept so far (``_spell``): a backward pass marks the
@@ -133,9 +138,10 @@ GRID_BITS = 1 << 16
 # cost more than THIN_WORDS per node expanded (or reached, in the
 # saturation), with a grace of cap nodes, the levels are too thin for
 # bitsets and the query goes to the sparse loop.  No vass-bfs query of
-# seeds 1..10 and 7919 crosses it, in the saturation or in the levels; a
-# search of one node per level at cap 250, which took 8.6x the sparse time
-# when the level loop ran to the end, hands over after about 45 sweeps.
+# seeds 1..10 and 7919 crosses it, in the saturation or in the levels
+# (re-checked with the saturation in component order); a search of one
+# node per level at cap 250, which took 8.6x the sparse time when the
+# level loop ran to the end, hands over after 46 sweeps.
 SHIFT_WORDS = 256
 THIN_WORDS = 384
 
@@ -213,23 +219,25 @@ def _dense_levels(vass, source, target, cap, length_bound, budget):
     if length_bound is None:
         reached = list(level)
         shifts = nodes = 0  # nodes: the last count, a lower bound as the set only grows
-        while not any(reached[j] & goal for j in goals):
-            before = list(reached)
-            for i, out in enumerate(moves):
-                if reached[i]:
-                    shifts += len(out)
-                    for shift, j in out:
-                        bits = reached[i]
-                        reached[j] |= (bits << shift if shift >= 0 else bits >> -shift) & mask
-            fixed = reached == before
-            if fixed or thin(shifts, nodes):
-                nodes = sum(bits.bit_count() for bits in reached)
-                if nodes > budget:
-                    break  # the levels name the depth of the budget error
-            if fixed:
-                return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=nodes)
-            if thin(shifts, nodes):
-                return None
+        for part, inner, exits in _components(moves):
+            if not any(reached[i] for i in part):
+                continue
+            fixed = False
+            while not (fixed or any(reached[j] & goal for j in goals)):
+                before = [reached[i] for i in part]
+                shifts += _fire(inner, reached, mask)
+                fixed = [reached[i] for i in part] == before
+                if fixed or thin(shifts, nodes):
+                    nodes = sum(bits.bit_count() for bits in reached)
+                    if nodes > budget:
+                        break
+                if thin(shifts, nodes):
+                    return None
+            if not fixed or nodes > budget:
+                break  # a goal, or more than budget nodes: the levels name the depth
+            shifts += _fire(exits, reached, mask)
+        else:
+            return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=nodes)
     unseen = [mask & ~bits for bits in level]
     levels = []  # kept to spell a witness while they cost at most KEEP_WORDS per node
     kept = explored = depth = shifts = 0
@@ -263,6 +271,46 @@ def _dense_levels(vass, source, target, cap, length_bound, budget):
         level = nxt
         depth += 1
     return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=explored, bound=length_bound)
+
+
+def _components(moves):
+    """The strongly connected components of the moves between automaton
+    states, in topological order, each as (states, inner moves, exit
+    moves); a move is (source, shift, target), and among each state's
+    inner moves its self-loops come first."""
+    n = len(moves)
+    reach = [1 << i for i in range(n)]  # reach[i]: the states i reaches, as a bitmask
+    for i, out in enumerate(moves):
+        for _, j in out:
+            reach[i] |= 1 << j
+    for k in range(n):
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    # the states of a component share a reach set, and a component that
+    # reaches another reaches strictly more states
+    parts = {}
+    for i in sorted(range(n), key=lambda i: -reach[i].bit_count()):
+        parts.setdefault(reach[i], []).append(i)
+    components = []
+    for part in parts.values():
+        inner, exits = [], []
+        for i in part:
+            inner += [(i, shift, i) for shift, j in moves[i] if j == i]
+            for shift, j in moves[i]:
+                if j != i:
+                    (inner if reach[j] == reach[i] else exits).append((i, shift, j))
+        components.append((part, inner, exits))
+    return components
+
+
+def _fire(moves, reached, mask):
+    """OR each move's shift of its source's set, masked, into its target's
+    set, in order and in place; returns the number of shifts."""
+    for i, shift, j in moves:
+        bits = reached[i]
+        reached[j] |= (bits << shift if shift >= 0 else bits >> -shift) & mask
+    return len(moves)
 
 
 def _successors(sets, moves):

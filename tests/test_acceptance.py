@@ -1,11 +1,14 @@
-"""Acceptance gate: eight seeded desk-scale suites, one pass/fail line each.
+"""Acceptance gate: nine desk-scale suites (eight seeded, one exhaustive),
+one pass/fail line each.
 
 Each test prints `acceptance N: PASS/FAIL ...` outside pytest's capture so
 the line is visible in the test log, then asserts.
 """
 
+import hashlib
 import os
 import time
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -15,14 +18,19 @@ from test_paper_lemmas import check_loop_lemma, drift_violation, gen_drift_case,
 from vasskit import (
     BudgetExceededError,
     Configuration,
+    PlaneVector,
+    REACHABLE,
+    Vass,
     ZERO,
+    brute_force_oracle,
     cli,
     cone_contains_zero,
+    decide_capped_bfs,
     instantiate,
     run,
     slps_of,
 )
-from vasskit import fuzzing, schemes
+from vasskit import decide, fuzzing, schemes
 from vasskit.certificates import verify_certificate_file
 
 
@@ -194,4 +202,50 @@ def test_acceptance_8_cli_goldens(capsys, tmp_path):
         not problems,
         f"{len(names)} goldens byte-stable, {len(CERTIFIED)} certificates verified"
         + (f"; first problem: {problems[0]}" if problems else ""),
+    )
+
+
+def _small_scope():
+    """Every automaton with letters in {-1,0,1}^2: one state, initial and
+    accepting, with at most two self-loops, or an initial state a and an
+    accepting state b with one or two of their 36 edges."""
+    letters = [PlaneVector(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+    loops = [("a", v, "a") for v in letters]
+    for k in range(3):
+        for edges in combinations(loops, k):
+            yield Vass(("a",), edges, frozenset("a"), frozenset("a"))
+    pairs = [(p, v, q) for p in "ab" for v in letters for q in "ab"]
+    for k in (1, 2):
+        for edges in combinations(pairs, k):
+            yield Vass(("a", "b"), edges, frozenset("a"), frozenset("b"))
+
+
+# sha256 of the answers' (kind, length, explored) lines, in query order
+SMALL_SCOPE_DIGEST = "b1e5afe070cb1803b742a9554716c3206d645517f0b77dac299a33abda4db7fe"
+
+
+def test_acceptance_9_small_scope_decider(capsys, monkeypatch):
+    # both kernel forms and brute_force_oracle on every query of the scope
+    started = time.monotonic()
+    points = [Configuration(x, y) for x in range(3) for y in range(3)]
+    queries = [(vass, s, t) for vass in _small_scope() for s in points for t in points]
+    dense = [decide_capped_bfs(vass, s, t, 12) for vass, s, t in queries]
+    with monkeypatch.context() as m:
+        m.setattr(decide, "GRID_BITS", 0)
+        sparse = [decide_capped_bfs(vass, s, t, 12) for vass, s, t in queries]
+    slow = [brute_force_oracle(vass, s, t, 12) for vass, s, t in queries]
+    disagreements = [
+        query for query, a, b, c in zip(queries, dense, sparse, slow)
+        if a != b or (a.kind, a.length, a.explored) != (c.kind, c.length, c.explored)
+    ]
+    lines = "".join(f"{v.kind} {v.length} {v.explored}\n" for v in dense)
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    reachable = sum(v.kind == REACHABLE for v in dense)
+    elapsed = time.monotonic() - started
+    report(
+        capsys, 9,
+        not disagreements and digest == SMALL_SCOPE_DIGEST and len(queries) == 57_672,
+        f"{len(queries)} queries on {len(queries) // 81} automata, {reachable} reachable,"
+        f" {len(disagreements)} disagreements, digest {digest[:12]}, {elapsed:.1f}s"
+        + (f"; first: {disagreements[0]}" if disagreements else ""),
     )

@@ -300,6 +300,136 @@ def test_saturation_exits_at_full_grid():
         assert verdict.kind == UNREACHABLE_WITHIN_CAP and verdict.explored == grid
 
 
+# the components in topological order are e, u, {r1, r2} and g1 (in either
+# order), g2 and f: "e" has only exit edges, no initial state reaches "u",
+# the sink "f" is entered only by gate edges, "g1" -> "g2" is a chain of
+# looping states, and the ring r1 <-> r2 holds a duplicate edge
+PARTS = Vass(
+    ("f", "g2", "r1", "u", "g1", "r2", "e"),
+    (
+        ("f", V(-1, 0), "f"),
+        ("r1", V(1, 0), "r2"),
+        ("r2", V(0, 1), "r1"),
+        ("r2", V(0, 1), "r1"),
+        ("r1", V(-1, 1), "r1"),
+        ("r2", V(1, -2), "r2"),
+        ("r1", V(0, -2), "f"),
+        ("r2", V(0, -3), "f"),
+        ("u", V(1, 1), "u"),
+        ("u", V(2, 0), "r1"),
+        ("e", V(0, 0), "r1"),
+        ("e", V(1, 0), "g1"),
+        ("g1", V(0, 1), "g1"),
+        ("g1", V(1, 0), "g2"),
+        ("g2", V(1, 1), "g2"),
+        ("g2", V(-1, 0), "f"),
+    ),
+    frozenset({"e"}),
+    frozenset(),
+)
+
+
+def _moves(vass):
+    """The automaton's moves as ``_components`` takes them, a letter in
+    place of its shift."""
+    index = {q: i for i, q in enumerate(vass.states)}
+    moves = [set() for _ in vass.states]
+    for p, v, q in vass.edges:
+        moves[index[p]].add((v, index[q]))
+    return moves
+
+
+def _closure(start, edges):
+    """The nodes reachable from ``start`` along ``edges(node)``."""
+    seen, todo = set(start), list(start)
+    while todo:
+        for node in edges(todo.pop()):
+            if node not in seen:
+                seen.add(node)
+                todo.append(node)
+    return seen
+
+
+def test_components_in_topological_order():
+    rng = Random(5)
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        moves = [
+            {(rng.randint(-3, 3), rng.randrange(n)) for _ in range(rng.randint(0, 4))}
+            for _ in range(n)
+        ]
+        parts = decide._components(moves)
+        where = {i: k for k, (part, _, _) in enumerate(parts) for i in part}
+        assert sorted(where) == list(range(n))
+        for k, (part, inner, exits) in enumerate(parts):
+            assert sorted(inner + exits) == sorted((i, s, j) for i in part for s, j in moves[i])
+            assert all(where[j] == k for _, _, j in inner)
+            assert all(where[j] > k for _, _, j in exits)  # every exit leads on
+            for i in part:
+                targets = [j for p, _, j in inner if p == i]
+                assert targets == sorted(targets, key=lambda j: j != i)  # self-loops first
+                assert _closure([i], lambda p: [j for q, _, j in inner if q == p]) == set(part)
+
+
+def _fixpoint_counts(vass, s, cap):
+    """The size of the saturated set at each fixpoint of a component that
+    the initial states reach, in topological order: the nodes of the
+    components so far, and those one exit away from the earlier ones."""
+    reached = _closure(
+        [(q, s.x, s.y) for q in vass.initial],
+        lambda node: [
+            (r, node[1] + v.x, node[2] + v.y) for p, v, r in vass.edges
+            if p == node[0] and 0 <= node[1] + v.x <= cap and 0 <= node[2] + v.y <= cap
+        ],
+    )
+    names = vass.states
+    counts, done = [], set()
+    for part, _, _ in decide._components(_moves(vass)):
+        if not any(node[0] == names[i] for node in reached for i in part):
+            continue
+        earlier = set(done)
+        done |= {names[i] for i in part}
+        sent = {
+            (r, x + v.x, y + v.y) for q, x, y in reached for p, v, r in vass.edges
+            if p == q and q in earlier and r not in done
+            and 0 <= x + v.x <= cap and 0 <= y + v.y <= cap
+        }
+        counts.append(sum(node[0] in done for node in reached) + len(sent))
+    assert counts[-1] == len(reached)
+    return counts
+
+
+def test_saturation_by_components_matches_sparse_loop(monkeypatch):
+    # budgets either side of each component's fixpoint count break the
+    # saturation part-way through the order
+    cap = 7
+    calls = _counting_sparse(monkeypatch)
+    outcomes = set()
+    for accepting in ("f", "g2", "r2", None):
+        vass = replace(PARTS, accepting=frozenset({accepting} - {None}))
+        for s in (Configuration(0, 0), Configuration(3, 5), Configuration(6, 6)):
+            counts = _fixpoint_counts(vass, s, cap)
+            assert len(counts) >= 4
+            for t in (Configuration(0, 0), Configuration(2, 6), Configuration(7, 1)):
+                final = _forced_sparse(monkeypatch, vass, s, t, cap).explored
+                budgets = {c + d for c in counts + [final] for d in (-1, 0, 1)}
+                for budget in sorted(budgets):
+                    calls.clear()
+                    dense = _outcome(vass, s, t, cap, None, budget)
+                    assert not calls  # the dense form answers
+                    with monkeypatch.context() as m:
+                        m.setattr(decide, "GRID_BITS", 0)
+                        sparse = _outcome(vass, s, t, cap, None, budget)
+                    assert dense == sparse, (accepting, s, t, budget)
+                    try:
+                        slow = brute_force_oracle(vass, s, t, cap, budget=budget)
+                    except BudgetExceededError:
+                        slow = "budget"
+                    assert _summary(dense) == _summary(slow), (accepting, s, t, budget)
+                    outcomes.add("budget" if isinstance(dense, str) else dense.kind)
+    assert outcomes == {"budget", REACHABLE, UNREACHABLE_WITHIN_CAP}
+
+
 @pytest.mark.parametrize("cap, pad", [(255, 0), (254, 2), (253, 3), (230, 1), (200, 3)])
 def test_caps_at_grid_edge_match_sparse_loop(monkeypatch, cap, pad):
     # the row mask at the widest padded grids of at most GRID_BITS bits

@@ -196,10 +196,8 @@ class Lps:
 
     @property
     def norm(self) -> int:
-        return max(
-            max((word_norm(a) for a in self.alphas), default=0),
-            max((word_norm(b) for b in self.betas), default=0),
-        )
+        # one pass over the letters' coordinates; search_cap reads it per query
+        return max((abs(c) for w in self.alphas + self.betas for v in w for c in (v.x, v.y)), default=0)
 
 
 @dataclass(frozen=True)

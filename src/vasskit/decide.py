@@ -63,19 +63,33 @@ expanded node, and a goal after that also goes to the sparse form.
 
 The sparse form, ``_sparse_bfs``, numbers the automaton's states 0..n-1
 in declaration order and keys a node (state i, x, y) by the one int
-``(x*(cap+1) + y)*n + i``.  Each state's successor list, built once per
-call from ``Vass.edges_from``, stores per edge the key delta
-``(dx*(cap+1) + dy)*n + j - i`` next to the letter and the edge's
-position in that list.  ``parents`` maps each discovered key to
-``parent_key*maxdeg + position`` (None for a start node), where maxdeg is
-the largest out-degree; the witness is decoded from these codes.
-``parents`` is a dict, so memory follows the reachable region; only
-grids of at most ``GRID_BITS`` bits per state are ever sized by the cap.
-The exploration order is fixed: initial states in sorted order, edges in
-declaration order, the first parent found wins.  A node's search-tree
-path is therefore the least of its shortest paths in the order (initial
-state, edge position, edge position, ...), and both forms return the one
-to the first goal in that order, with the same state trace.
+``((x*W + y) << b) | i``, with b the bit length of n-1, so ``key & low``
+(low = 2^b - 1) is its state.  The row width W is min(cap, R) + 1, with
+R = max(source norm, target norm) + L * (norm of the alphabet) and L the
+budget plus one, or min(budget, length bound) plus one: a level is
+expanded only while ``explored``, which every level raises by at least
+one, is within the budget, so no node keyed before the answer or the
+budget-out has a counter above R, and the goal's key, which R covers
+too, aliases no other node's.  Under a scheme cap of about 10^15 a key
+thus stays below about (budget*norm)^2 * 2^b, one or two 30-bit digits
+of a Python int, where cap^2 took four.  Each state's successor list,
+built once per call in one pass over the edges (in ``Vass.edges_from``
+order), stores per edge the key delta ``((dx*W + dy) << b) + j - i``,
+the keys whose x lets the letter fire (as 0 <= y < W, the bounds
+0 <= x + dx <= cap read ``(-dx*W) << b <= key < ((cap+1-dx)*W) << b``),
+the range [-dy, cap-dy] its y must lie in, and the edge's position in
+that list.  A node reads its y, ``(key >> b) % W``, once; a letter that
+keeps y has the range [0, cap], which every y meets.  ``parents`` maps
+each discovered key to ``parent_key*maxdeg + position`` (None for a
+start node), where maxdeg is the largest out-degree; ``_rebuild``
+decodes the witness from these codes.  ``parents`` is a dict, so memory
+follows the reachable region; only grids of at most ``GRID_BITS`` bits
+per state are ever sized by the cap.  The exploration order is fixed:
+initial states in sorted order, edges in declaration order, the first
+parent found wins.  A node's search-tree path is therefore the least of
+its shortest paths in the order (initial state, edge position, edge
+position, ...), and both forms return the one to the first goal in that
+order, with the same state trace.
 
 ``brute_force_oracle`` is a separate, deliberately naive search that
 shares no code with the kernel, so that it can cross-check it.  It lives
@@ -106,17 +120,19 @@ def default_cap(vass: Vass, source: Configuration, target: Configuration) -> int
     return 64 * (n + 1) * (norm + 1) ** 4
 
 
-def _rebuild(parents, key, names, out, maxdeg):
+def _rebuild(parents, key, names, out, maxdeg, low):
     """The word and state trace of the search path ending at node ``key``,
-    decoded from its chain of parent codes."""
-    n = len(names)
+    decoded from its chain of parent codes: ``divmod(code, maxdeg)`` is the
+    parent's key and the edge's position in the parent state's ``out``
+    list, and ``key & low`` is a key's state."""
     word: list[PlaneVector] = []
-    states = [names[key % n]]
+    states = [names[key & low]]
     code = parents[key]
     while code is not None:
         key, j = divmod(code, maxdeg)
-        word.append(out[key % n][j][0])
-        states.append(names[key % n])
+        i = key & low
+        word.append(out[i][j][0])
+        states.append(names[i])
         code = parents[key]
     word.reverse()
     states.reverse()
@@ -147,8 +163,10 @@ THIN_WORDS = 384
 
 # The dense form keeps its levels for spelling a witness while they hold at
 # most this many words per expanded node, twice that while spelling; the
-# sparse loop's parent codes cost about 18.6 (tracemalloc peak of a
-# 90,596-node search).  vass-bfs positives keep at most 3.5.
+# sparse loop's parent codes cost about 18.7 at any cap (tracemalloc peak
+# per node: 18.6 on the 90,600-node grid at cap 300, 18.7 on 90,000-node
+# budget-outs of that grid at caps 300 to 7*10**18, where keys sized by
+# the cap took 20.6).  vass-bfs positives keep at most 3.5.
 KEEP_WORDS = 16
 
 
@@ -222,7 +240,7 @@ def _dense_levels(vass, source, target, cap, length_bound, budget):
         for part, inner, exits in _components(moves):
             if not any(reached[i] for i in part):
                 continue
-            fixed = False
+            fixed = not inner  # nothing to sweep; the end tests and counts it
             while not (fixed or any(reached[j] & goal for j in goals)):
                 before = [reached[i] for i in part]
                 shifts += _fire(inner, reached, mask)
@@ -237,7 +255,10 @@ def _dense_levels(vass, source, target, cap, length_bound, budget):
                 break  # a goal, or more than budget nodes: the levels name the depth
             shifts += _fire(exits, reached, mask)
         else:
-            return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=nodes)
+            if not any(reached[j] & goal for j in goals):
+                nodes = sum(bits.bit_count() for bits in reached)
+                if nodes <= budget:
+                    return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=nodes)
     unseen = [mask & ~bits for bits in level]
     levels = []  # kept to spell a witness while they cost at most KEEP_WORDS per node
     kept = explored = depth = shifts = 0
@@ -376,19 +397,41 @@ def _sparse_bfs(vass, source, target, cap, length_bound, budget):
     """The search node by node, with a parent code per discovered node."""
     names = vass.states
     n = len(names)
-    width = cap + 1
     index = {q: i for i, q in enumerate(names)}
-    out = [vass.edges_from(q) for q in names]
+    out = [[] for _ in names]  # Vass.edges_from of each state, in one pass
+    norm = 0
+    for p, v, r in vass.edges:
+        out[index[p]].append((v, r))
+        norm = max(norm, abs(v.x), abs(v.y))
+    # Level d is expanded only below the length bound and while explored,
+    # at least d+1 as every level holds a node, is within the budget; so a
+    # node keyed before the answer or the budget-out is at most
+    # min(budget, length bound) letters from a source, each letter moves a
+    # counter by at most the alphabet's norm, and both its counters are
+    # below width.  target.norm keeps the goal's key from aliasing another.
+    steps = max(0, budget if length_bound is None else min(budget, length_bound))
+    width = min(cap, max(source.norm, target.norm) + (steps + 1) * norm) + 1
+    shift = (n - 1).bit_length()
+    low = (1 << shift) - 1
+    # per edge: the key delta, the keys whose x lets the letter fire (as
+    # 0 <= y < width, a plain range), the y range it needs, and its position
     succ = [
-        [((v.x * width + v.y) * n + index[r] - i, v.x, v.y, j) for j, (v, r) in enumerate(edges)]
+        [
+            (
+                ((v.x * width + v.y) << shift) + index[r] - i,
+                (-v.x * width) << shift, ((cap + 1 - v.x) * width) << shift,
+                -v.y, cap - v.y, j,
+            )
+            for j, (v, r) in enumerate(edges)
+        ]
         for i, edges in enumerate(out)
     ]
     maxdeg = max(map(len, out), default=0)
-    goals = {(target.x * width + target.y) * n + index[q] for q in vass.accepting}
+    goals = {((target.x * width + target.y) << shift) | index[q] for q in vass.accepting}
     parents: dict[int, Optional[int]] = {}
     frontier: list[int] = []
     for q in sorted(vass.initial):
-        key = (source.x * width + source.y) * n + index[q]
+        key = ((source.x * width + source.y) << shift) | index[q]
         if key not in parents:
             parents[key] = None
             frontier.append(key)
@@ -397,7 +440,7 @@ def _sparse_bfs(vass, source, target, cap, length_bound, budget):
     while frontier:
         if not goals.isdisjoint(frontier):
             key = next(key for key in frontier if key in goals)
-            word, states = _rebuild(parents, key, names, out, maxdeg)
+            word, states = _rebuild(parents, key, names, out, maxdeg, low)
             return Verdict(
                 kind=REACHABLE, cap=cap, witness=word, states=states,
                 explored=explored, bound=length_bound,
@@ -406,18 +449,18 @@ def _sparse_bfs(vass, source, target, cap, length_bound, budget):
             break
         explored += len(frontier)
         if explored > budget:
-            largest = max(max(divmod(k // n, width)) for k in frontier)
+            largest = max(max(divmod(k >> shift, width)) for k in frontier)
             # a caught exception keeps this frame alive through its traceback
             del parents, frontier
             raise _budget_error(budget, depth, largest)
         nxt_frontier: list[int] = []
         push = nxt_frontier.append
         for key in frontier:
-            point, i = divmod(key, n)
-            x, y = divmod(point, width)
+            i = key & low
+            y = (key >> shift) % width
             base = key * maxdeg
-            for delta, dx, dy, j in succ[i]:
-                if 0 <= x + dx <= cap and 0 <= y + dy <= cap:
+            for delta, lo, hi, ylo, yhi, j in succ[i]:
+                if lo <= key < hi and ylo <= y <= yhi:
                     nxt = key + delta
                     if nxt not in parents:
                         parents[nxt] = base + j

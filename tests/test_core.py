@@ -1,5 +1,7 @@
 """Core domain types: vectors, runs, schemes, instantiation."""
 
+from random import Random
+
 import pytest
 
 from vasskit import (
@@ -118,3 +120,23 @@ def test_slps_requires_single_letters():
 def test_word_norm():
     assert word_norm(()) == 0
     assert word_norm((PlaneVector(1, -3), PlaneVector(2, 0))) == 3
+
+
+def test_lps_norm_matches_per_word_formula():
+    # the largest letter norm over segments and cycles; empty segments count 0
+    rng = Random(25)
+    for _ in range(500):
+        def word(least):
+            return tuple(
+                PlaneVector(rng.randint(-9, 9), rng.randint(-9, 9))
+                for _ in range(rng.randint(least, 3))
+            )
+        k = rng.randint(0, 4)
+        scheme = Lps(tuple(word(0) for _ in range(k + 1)), tuple(word(1) for _ in range(k)))
+        expected = max(
+            max((word_norm(a) for a in scheme.alphas), default=0),
+            max((word_norm(b) for b in scheme.betas), default=0),
+        )
+        assert scheme.norm == expected, scheme
+    assert Lps(((),), ()).norm == 0
+    assert Lps(((), ()), ((PlaneVector(0, -4),),)).norm == 4

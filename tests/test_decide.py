@@ -172,6 +172,69 @@ def test_budget_message_diagnoses():
     assert verdict.kind == REACHABLE and verdict.explored == 45
 
 
+RAY = Vass(("p",), (("p", V(1, 0), "p"),), frozenset({"p"}), frozenset({"p"}))
+CLIMB = Vass(("p",), (("p", V(0, 1), "p"),), frozenset({"p"}), frozenset({"p"}))
+# p -> q by (1,0), then q climbs: x is 1 in q, so (0, y) never occurs there
+GATE = Vass(
+    ("p", "q"), (("p", V(1, 0), "q"), ("q", V(0, 1), "q")), frozenset({"p"}), frozenset({"q"})
+)
+
+
+def test_ray_at_huge_cap_budget_message():
+    with pytest.raises(BudgetExceededError) as info:
+        decide_capped_bfs(RAY, Configuration(0, 0), Configuration(0, 1), 10**18, budget=100)
+    assert str(info.value) == (
+        "search exceeded its budget of 100 states at depth 100;"
+        " largest counter on the frontier: 100"
+    )
+
+
+def test_target_beyond_budget_reach():
+    # the sparse loop keys nodes inside the region the budget can reach; a
+    # target outside it must not alias a node inside it
+    with pytest.raises(BudgetExceededError):
+        decide_capped_bfs(CLIMB, Configuration(0, 0), Configuration(0, 50), 10**18, budget=10)
+    # keyed by the budget's reach alone (rows of 32), the goal (0,50) in q
+    # would share its key with q's (1,18), which is at depth 19
+    with pytest.raises(BudgetExceededError) as info:
+        decide_capped_bfs(GATE, Configuration(0, 0), Configuration(0, 50), 10**18, budget=30)
+    assert str(info.value).endswith("at depth 30; largest counter on the frontier: 29")
+
+
+def test_sparse_loop_at_huge_caps_matches_oracle(monkeypatch):
+    # letters that cross the axes and, from endpoints near the cap, the cap
+    monkeypatch.setattr(decide, "GRID_BITS", 0)
+    rng = Random(25)
+    letters = [V(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    budget_outs = reachable = 0
+    for _ in range(1500):
+        states = ("a", "b", "c", "d", "e")[: rng.randint(1, 5)]
+        edges = tuple(
+            (rng.choice(states), rng.choice(letters), rng.choice(states))
+            for _ in range(rng.randint(1, 2 * len(states)))
+        )
+        vass = Vass(
+            states, edges,
+            frozenset(rng.sample(states, rng.randint(1, len(states)))),
+            frozenset(rng.sample(states, rng.randint(1, len(states)))),
+        )
+        cap = rng.choice((10**6, 10**15, 7 * 10**18))
+        high = rng.random() < 0.3
+        s = Configuration(*(cap - rng.randint(0, 3) if high else rng.randint(0, 3) for _ in "xy"))
+        t = Configuration(*(max(0, min(cap, c + rng.randint(-4, 4))) for c in (s.x, s.y)))
+        bound = None if rng.random() < 0.6 else rng.randint(0, 40)
+        budget = round(3000 ** rng.random())
+        fast = _outcome(vass, s, t, cap, bound, budget)
+        try:
+            slow = brute_force_oracle(vass, s, t, cap, budget=budget, length_bound=bound)
+        except BudgetExceededError:
+            slow = "budget"
+        assert _summary(fast) == _summary(slow), (vass, s, t, cap, bound, budget)
+        budget_outs += isinstance(fast, str)
+        reachable += not isinstance(fast, str) and fast.kind == REACHABLE
+    assert budget_outs > 300 and reachable > 100
+
+
 def _outcome(vass, s, t, cap, bound, budget):
     try:
         return decide_capped_bfs(vass, s, t, cap, length_bound=bound, budget=budget)

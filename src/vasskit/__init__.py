@@ -25,7 +25,6 @@ from .core import (
     path_length,
     run,
     slps_of,
-    word_norm,
 )
 from .certificates import Shortening, brute_force_oracle, shortening_violation, witness_violation
 from .cones import (

@@ -92,10 +92,6 @@ def effect(word: Iterable[PlaneVector]) -> PlaneVector:
     return PlaneVector(ex, ey)
 
 
-def word_norm(word: Iterable[PlaneVector]) -> int:
-    return max((v.norm for v in word), default=0)
-
-
 @dataclass(frozen=True)
 class Run:
     """The visited-point sequence of a word executed from a source.

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import accumulate
 from random import Random
 from typing import Callable, Iterable, Optional
 
@@ -690,76 +689,6 @@ def path_profile(scheme: Lps, reps) -> tuple[int, PlaneVector, PlaneVector]:
     return ln, PlaneVector(ex, ey), PlaneVector(dx, dy)
 
 
-_SOURCES = range(0, 9)  # both source coordinates range over 0..8
-_BOX = 48  # targets are kept only inside [0, 48]^2
-_NO_SOURCE = (len(_SOURCES),) * len(_SOURCES)
-
-
-def _least_sources(states, buckets: Optional[dict[tuple, list]] = None) -> dict[tuple, list]:
-    """Per effect of ``states``, one bucket per source x in _SOURCES: the
-    least source y >= 0 admitted by a drop whose least admitted source x
-    is that x (len(_SOURCES) when there is none).  Given ``buckets``, it
-    adds ``states`` to them in place.
-
-    A drop (dx, dy) admits a source (x, y) exactly when x >= max(0, -dx)
-    and y >= max(0, -dy), so it lowers bucket max(0, -dx) to max(0, -dy).
-    A dominated drop never lowers a prefix minimum of the buckets, so they
-    answer every admissibility query that the Pareto-maximal drops would.
-    """
-    buckets = {} if buckets is None else buckets
-    for (_ln, ex, ey, dx, dy) in states:
-        sx = -dx if dx < 0 else 0
-        if sx < len(_SOURCES):
-            row = buckets.get((ex, ey))
-            if row is None:
-                row = buckets[ex, ey] = list(_NO_SOURCE)
-            sy = -dy if dy < 0 else 0
-            if sy < row[sx]:
-                row[sx] = sy
-    return buckets
-
-
-def _thresholds(buckets, effect) -> list[int]:
-    """For each source x in _SOURCES, the least source y >= 0 that some
-    drop of ``effect`` admits (len(_SOURCES) when none does): the prefix
-    minimum of its buckets, since a drop admitting x admits every larger x."""
-    return list(accumulate(buckets.get(effect, _NO_SOURCE), min))
-
-
-def _lost_target(origin, union) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
-    """The first source (x, then y order, both in 0..8) from which the
-    origin reaches a target in [0,48]^2 that the union does not, with the
-    least such target; None when no target is lost.
-
-    Both arguments map an effect to its buckets (``_least_sources``).  For
-    a fixed source x the sources y that a set of drops admits form an
-    up-set {y : y >= threshold(x)}.  Distinct effects give distinct
-    targets from one source, so effect e loses its target at (x, y)
-    exactly when the origin's threshold <= y < the union's threshold and
-    (x, y) + e lies in the box.  An effect that lands outside the box from
-    every source is skipped, and so is one whose union buckets equal the
-    origin's, since equal buckets give equal thresholds.
-    """
-    best = None
-    for (ex, ey), row in origin.items():
-        if not (-_SOURCES[-1] <= ex <= _BOX and -_SOURCES[-1] <= ey <= _BOX):
-            continue
-        if union.get((ex, ey)) == row:
-            continue
-        here = _thresholds(origin, (ex, ey))
-        there = _thresholds(union, (ex, ey))
-        for sx in _SOURCES:
-            if not 0 <= sx + ex <= _BOX:
-                continue
-            sy = max(here[sx], -ey)
-            if sy < min(there[sx], _BOX + 1 - ey):
-                found = ((sx, sy), (sx + ex, sy + ey))
-                if best is None or found < best:
-                    best = found
-                break
-    return best
-
-
 def _origin_map(origin_blocks, member: schemes.SlpsMember):
     """A member's map from its path exponents to its origin path, built
     once per member from ``schemes.origin_turns``: (head, steps).  Origin
@@ -788,8 +717,8 @@ def _check_thm12(scheme: Lps) -> Optional[str]:
     norm = scheme.norm
     max_len = 40
     origin_blocks = _block_summaries(scheme)
-    origin_sources = _least_sources(bounded_relation(origin_blocks, max_len))
-    union_sources: dict[tuple, list] = {}
+    origin_states = bounded_relation(origin_blocks, max_len)
+    union: set[tuple[int, int, int, int]] = set()
     for member in schemes.split_lps(scheme):
         if member.scheme.length > 4 * size:
             return f"member length {member.scheme.length} exceeds 4*|L| = {4 * size}"
@@ -827,11 +756,18 @@ def _check_thm12(scheme: Lps) -> Optional[str]:
                 return f"profile {member.profile}: origin drop {PlaneVector(odx, ody)} != ({dx},{dy})"
             if oln > max(ln, 1) * size:
                 return f"profile {member.profile}: origin length {oln} exceeds |path|*|L|"
-        _least_sources(member_states, union_sources)
-    lost = _lost_target(origin_sources, union_sources)
-    if lost is not None:
-        (sx, sy), target = lost
-        return f"target {target} from ({sx},{sy}) lost by the split"
+        union.update(key[1:] for key in member_states)
+    # the relation of a path set is {(s, s+e) : s + d >= 0} over its (effect
+    # e, drop d) profiles, so the split keeps it exactly when each origin
+    # profile is matched or dominated by a member profile of its effect
+    missing = {key[1:] for key in origin_states} - union
+    if missing:
+        drops: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for ex, ey, dx, dy in union:
+            drops.setdefault((ex, ey), []).append((dx, dy))
+        for ex, ey, dx, dy in sorted(missing):
+            if not any(hx >= dx and hy >= dy for hx, hy in drops.get((ex, ey), ())):
+                return f"origin paths of effect ({ex},{ey}) and drop ({dx},{dy}) lost by the split"
     return None
 
 

@@ -16,7 +16,6 @@ from vasskit import (
     path_length,
     run,
     slps_of,
-    word_norm,
 )
 from vasskit import core, schemes
 
@@ -117,11 +116,6 @@ def test_slps_requires_single_letters():
         Slps(((PlaneVector(0, 1), PlaneVector(1, 0)), ()), ((PlaneVector(0, 1),),))
 
 
-def test_word_norm():
-    assert word_norm(()) == 0
-    assert word_norm((PlaneVector(1, -3), PlaneVector(2, 0))) == 3
-
-
 def test_lps_norm_matches_per_word_formula():
     # the largest letter norm over segments and cycles; empty segments count 0
     rng = Random(25)
@@ -133,10 +127,7 @@ def test_lps_norm_matches_per_word_formula():
             )
         k = rng.randint(0, 4)
         scheme = Lps(tuple(word(0) for _ in range(k + 1)), tuple(word(1) for _ in range(k)))
-        expected = max(
-            max((word_norm(a) for a in scheme.alphas), default=0),
-            max((word_norm(b) for b in scheme.betas), default=0),
-        )
+        expected = max((v.norm for w in scheme.alphas + scheme.betas for v in w), default=0)
         assert scheme.norm == expected, scheme
     assert Lps(((),), ()).norm == 0
     assert Lps(((), ()), ((PlaneVector(0, -4),),)).norm == 4

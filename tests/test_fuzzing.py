@@ -114,100 +114,18 @@ def test_path_profile_matches_run():
         assert fuzzing.path_profile(scheme, reps) == expected, (scheme, reps)
 
 
-def _lost_by_sources(origin, union):
-    """Per-source reference: the set difference of reached targets."""
-
-    def targets(compressed, sx, sy):
-        return {
-            (sx + ex, sy + ey)
-            for (ex, ey), drops in compressed.items()
-            if 0 <= sx + ex <= 48 and 0 <= sy + ey <= 48
-            and any(sx + dx >= 0 and sy + dy >= 0 for dx, dy in drops)
-        }
-
-    for sx in range(9):
-        for sy in range(9):
-            missing = targets(origin, sx, sy) - targets(union, sx, sy)
-            if missing:
-                return (sx, sy), min(missing)
-    return None
-
-
-def _accumulated(drops_by_effect):
-    """The drops of each effect, put through the thm12 accumulator."""
-    return fuzzing._least_sources(
-        (0, ex, ey, dx, dy) for (ex, ey), drops in drops_by_effect.items() for dx, dy in drops
+def _split_without(monkeypatch, profile):
+    """Make ``schemes.split_lps`` leave out its member of ``profile``."""
+    split = schemes.split_lps
+    monkeypatch.setattr(
+        schemes, "split_lps", lambda origin: (m for m in split(origin) if m.profile != profile)
     )
 
 
-def _pareto(pairs):
-    return [p for p in pairs if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in pairs)]
-
-
-def test_lost_target_matches_per_source_reference():
-    rng = Random(22)
-    lost = 0
-    for _ in range(6000):
-        origin, union = {}, {}
-        for _ in range(rng.randint(1, 6)):
-            eff = (rng.randint(-12, 12), rng.randint(-12, 12))
-            drops = {(rng.randint(-10, 0), rng.randint(-10, 0)) for _ in range(rng.randint(1, 3))}
-            origin[eff] = _pareto(drops)
-            if rng.random() < 0.8:  # a shifted copy: often weaker, sometimes stronger
-                shifted = {(dx + rng.randint(-3, 1), dy + rng.randint(-3, 1)) for dx, dy in drops}
-                union[eff] = _pareto({(min(dx, 0), min(dy, 0)) for dx, dy in shifted})
-        if rng.random() < 0.3:
-            union[(rng.randint(-12, 12), rng.randint(-12, 12))] = [(0, 0)]
-        expected = _lost_by_sources(origin, union)
-        assert fuzzing._lost_target(_accumulated(origin), _accumulated(union)) == expected, (
-            origin, union
-        )
-        lost += expected is not None
-    assert lost >= 2000
-
-
-def _thresholds_by_source(drops):
-    """Per-source reference: the least source y that some drop admits."""
-    return [
-        min([max(0, -dy) for dx, dy in drops if sx + dx >= 0] + [9]) for sx in range(9)
-    ]
-
-
-def _thresholds(drops):
-    return fuzzing._thresholds(_accumulated({(0, 0): drops}), (0, 0))
-
-
-def test_thresholds_match_the_per_source_definition():
-    assert _thresholds(()) == [9] * 9
-    assert _thresholds([(-9, 0), (-20, -1)]) == [9] * 9  # dx < -8 admits no source
-    assert _thresholds([(0, 3)]) == [0] * 9  # dy > 0
-    rng = Random(23)
-    for _ in range(5000):
-        drops = [
-            (rng.randint(-12, 3), rng.randint(-12, 3)) for _ in range(rng.randint(0, 5))
-        ]
-        assert _thresholds(drops) == _thresholds_by_source(drops), drops
-
-
-def test_lost_target_skips_effects_outside_the_box():
-    rng = Random(24)
-    lost = skipped = 0
-    for _ in range(3000):
-        origin, union = {}, {}
-        for _ in range(rng.randint(1, 6)):
-            # about a third of the effects cannot land in [0,48]^2 from any source
-            eff = (rng.randint(-14, 54), rng.randint(-14, 54))
-            skipped += not (-8 <= eff[0] <= 48 and -8 <= eff[1] <= 48)
-            drops = {(rng.randint(-10, 0), rng.randint(-10, 0)) for _ in range(rng.randint(1, 3))}
-            origin[eff] = _pareto(drops)
-            if rng.random() < 0.5:
-                union[eff] = _pareto({(min(dx + rng.randint(-3, 1), 0), dy) for dx, dy in drops})
-        expected = _lost_by_sources(origin, union)
-        assert fuzzing._lost_target(_accumulated(origin), _accumulated(union)) == expected, (
-            origin, union
-        )
-        lost += expected is not None
-    assert lost >= 1000 and skipped >= 3000
+def _profiles(scheme):
+    """The (effect, drop) profiles of the paths the split check compares
+    (at most 40 letters)."""
+    return {key[1:] for key in fuzzing.bounded_relation(fuzzing._block_summaries(scheme), 40)}
 
 
 @pytest.mark.parametrize(
@@ -215,27 +133,40 @@ def test_lost_target_skips_effects_outside_the_box():
     [
         (
             Lps(((), (V(2, -2), V(-2, 2))), ((V(-1, 0), V(2, -2)),)),
-            1,
-            "target (2, 2) from (1,4) lost by the split",
+            (1,),
+            "origin paths of effect (1,-2) and drop (-1,-4) lost by the split",
         ),
         (
             Lps(((), (), (), ()), ((V(2, 2),), (V(1, 1),), (V(-2, -1),))),
-            1,
-            "target (0, 0) from (2,1) lost by the split",
+            (0, 0, 1),
+            "origin paths of effect (-2,-1) and drop (-2,-1) lost by the split",
+        ),
+        # the paths only this member kept need a source with y >= 72, far
+        # from the origin: profiles show the loss wherever its pairs lie
+        (
+            Lps(((), (), (), ()), ((V(1, -2),), (V(2, 0),), (V(2, -1), V(-2, 0)))),
+            (2, 0, 0),
+            "origin paths of effect (36,-72) and drop (0,-72) lost by the split",
         ),
     ],
-    ids=["one-cycle", "three-cycles"],
+    ids=["one-cycle", "three-cycles", "far-from-the-origin"],
 )
 def test_thm12_reports_the_first_lost_target(monkeypatch, scheme, dropped, violation):
-    split = schemes.split_lps
-
-    def without_member(origin):
-        members = tuple(split(origin))
-        return members[:dropped] + members[dropped + 1:]
-
     assert fuzzing._check_thm12(scheme) is None
-    monkeypatch.setattr(schemes, "split_lps", without_member)
+    _split_without(monkeypatch, dropped)
     assert fuzzing._check_thm12(scheme) == violation
+
+
+def test_thm12_accepts_a_lost_profile_that_another_dominates(monkeypatch):
+    """Without the profile-(2,1,2) member, some of its exact profiles are
+    in no other member, but another member has the same effect with a
+    drop at least as high on both axes, so the relation is kept."""
+    scheme = Lps(((), (), (), ()), ((V(0, -1), V(-1, 2)), (V(-1, 0), V(-1, -2)), (V(2, 0),)))
+    members = {m.profile: m.scheme for m in schemes.split_lps(scheme)}
+    dropped = _profiles(members.pop((2, 1, 2)))
+    assert dropped - set().union(*map(_profiles, members.values()))
+    _split_without(monkeypatch, (2, 1, 2))
+    assert fuzzing._check_thm12(scheme) is None
 
 
 def _swapped_origins(scheme, profile):

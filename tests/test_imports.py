@@ -1,4 +1,5 @@
-"""Every name a vasskit module imports is used in that module."""
+"""Every name a vasskit module imports is used in that module, and every
+name it defines is used by other vasskit code."""
 
 import ast
 import os
@@ -33,9 +34,9 @@ def test_every_import_is_used(module):
     assert unused == {}, f"{module}: imported but never used: {unused}"
 
 
-def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
-    """Each private top-level function, class or constant, with the
-    statement that defines it; dunders are exempt."""
+def _top_level_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each top-level function, class or constant, with the statement that
+    defines it; dunders are exempt."""
     found = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -46,7 +47,7 @@ def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
         else:
             continue
         for name in names:
-            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+            if not (name.startswith("__") and name.endswith("__")):
                 found[name] = node
     return found
 
@@ -65,7 +66,10 @@ def _referenced_names(node: ast.AST) -> set[str]:
     return names
 
 
-def test_every_private_definition_is_referenced():
+def _unreferenced(private: bool) -> list[str]:
+    """The private (or public) top-level definitions that no other
+    top-level statement references; ``__init__.py`` only re-exports, so
+    its statements do not count."""
     trees = {}
     for module in sorted(os.listdir(SRC_DIR)):
         if module.endswith(".py"):
@@ -73,15 +77,30 @@ def test_every_private_definition_is_referenced():
                 trees[module] = ast.parse(fh.read(), filename=module)
     # (statement, names it references) for every top-level statement
     statements = [
-        (stmt, _referenced_names(stmt)) for tree in trees.values() for stmt in tree.body
+        (stmt, _referenced_names(stmt))
+        for module, tree in trees.items()
+        if module != "__init__.py"
+        for stmt in tree.body
     ]
-    unreferenced = [
+    return [
         f"{module}: {name}"
         for module, tree in trees.items()
-        for name, definition in _private_definitions(tree).items()
-        if not any(name in names for stmt, names in statements if stmt is not definition)
+        for name, definition in _top_level_definitions(tree).items()
+        if name.startswith("_") == private
+        and not any(name in names for stmt, names in statements if stmt is not definition)
     ]
+
+
+def test_every_private_definition_is_referenced():
+    unreferenced = _unreferenced(private=True)
     assert unreferenced == [], f"private definitions nothing references: {unreferenced}"
+
+
+def test_every_public_definition_is_referenced():
+    """Dead API is deleted: a public name that only the package exports
+    (and tests call) backs no decision, certificate or oracle."""
+    unreferenced = _unreferenced(private=False)
+    assert unreferenced == [], f"public definitions nothing references: {unreferenced}"
 
 
 def test_certificates_imports_no_check_from_a_producer():

@@ -6,9 +6,9 @@ counters bounded by a cap, level by level, each pair at most once.  A
 positive answer comes with a shortest in-cap witness; a negative answer
 is only ever "unreachable within this cap" (and bound), because the cap
 for the general system is heuristic.  The same kernel decides simple
-schemes: ``schemes.slps_reach`` runs it on a scheme's path automaton at a
-cap backed by an explicit bound, so there, and only there, a negative
-answer is unconditional.
+schemes: ``schemes.slps_reach`` runs its sparse form on a scheme's chain
+table at a cap backed by an explicit bound, so there, and only there, a
+negative answer is unconditional.
 
 Both forms of the kernel and ``certificates.brute_force_oracle`` keep
 one level contract.  Level d holds the pairs first reached by d letters.
@@ -61,8 +61,20 @@ of a few nodes per level costs about what the sparse form costs; the
 levels are let go once they hold more than ``KEEP_WORDS`` words per
 expanded node, and a goal after that also goes to the sparse form.
 
-The sparse form, ``_sparse_bfs``, numbers the automaton's states 0..n-1
-in declaration order and keys a node (state i, x, y) by the one int
+The sparse form, ``search_table``, runs on an integer table, its input
+contract.  The automaton's states are 0..n-1, ``out[i]`` lists the edges
+of state i as (dx, dy, j), j the target state, in edge order, and the
+initial and accepting states are lists of indices, the initial ones in
+the order they are explored.  It returns ``explored`` and, when it
+reaches a goal, the witness as its trace of states and of edge positions
+in their ``out`` lists.  Two front doors fill the table.
+``_sparse_bfs`` numbers a ``Vass``'s states in declaration order, lists
+each state's edges in ``Vass.edges_from`` order and its initial states
+in sorted order, and spells the trace back as a ``Verdict``'s word and
+state names.  ``schemes.slps_reach`` fills a chain straight from a simple
+scheme's letters and reads the cycle exponents off the state trace.
+
+The sparse form keys a node (state i, x, y) by the one int
 ``((x*W + y) << b) | i``, with b the bit length of n-1, so ``key & low``
 (low = 2^b - 1) is its state.  The row width W is min(cap, R) + 1, with
 R = max(source norm, target norm) + L * (norm of the alphabet) and L the
@@ -73,23 +85,23 @@ budget-out has a counter above R, and the goal's key, which R covers
 too, aliases no other node's.  Under a scheme cap of about 10^15 a key
 thus stays below about (budget*norm)^2 * 2^b, one or two 30-bit digits
 of a Python int, where cap^2 took four.  Each state's successor list,
-built once per call in one pass over the edges (in ``Vass.edges_from``
-order), stores per edge the key delta ``((dx*W + dy) << b) + j - i``,
-the keys whose x lets the letter fire (as 0 <= y < W, the bounds
-0 <= x + dx <= cap read ``(-dx*W) << b <= key < ((cap+1-dx)*W) << b``),
-the range [-dy, cap-dy] its y must lie in, and the edge's position in
-that list.  A node reads its y, ``(key >> b) % W``, once; a letter that
-keeps y has the range [0, cap], which every y meets.  ``parents`` maps
-each discovered key to ``parent_key*maxdeg + position`` (None for a
-start node), where maxdeg is the largest out-degree; ``_rebuild``
-decodes the witness from these codes.  ``parents`` is a dict, so memory
-follows the reachable region; only grids of at most ``GRID_BITS`` bits
-per state are ever sized by the cap.  The exploration order is fixed:
-initial states in sorted order, edges in declaration order, the first
-parent found wins.  A node's search-tree path is therefore the least of
-its shortest paths in the order (initial state, edge position, edge
-position, ...), and both forms return the one to the first goal in that
-order, with the same state trace.
+built once per call from its ``out`` list, stores per edge the key delta
+``((dx*W + dy) << b) + j - i``, the keys whose x lets the letter fire
+(as 0 <= y < W, the bounds 0 <= x + dx <= cap read
+``(-dx*W) << b <= key < ((cap+1-dx)*W) << b``), the range [-dy, cap-dy]
+its y must lie in, and the edge's position in that list.  A node reads
+its y, ``(key >> b) % W``, once; a letter that keeps y has the range
+[0, cap], which every y meets.  ``parents`` maps each discovered key to
+``parent_key*maxdeg + position`` (None for a start node), where maxdeg
+is the largest out-degree; ``_rebuild`` decodes the trace from these
+codes.  ``parents`` is a dict, so memory follows the reachable region;
+only grids of at most ``GRID_BITS`` bits per state are ever sized by the
+cap.  The exploration order is fixed: initial states in their given
+order, edges in table order, the first parent found wins.  A node's
+search-tree path is therefore the least of its shortest paths in the
+order (initial state, edge position, edge position, ...), and both
+forms return the one to the first goal in that order, with the same
+state trace.
 
 ``brute_force_oracle`` is a separate, deliberately naive search that
 shares no code with the kernel, so that it can cross-check it.  It lives
@@ -103,7 +115,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import certificates
-from .core import REACHABLE, UNREACHABLE_WITHIN_CAP, Configuration, PlaneVector, Vass, Verdict
+from .core import REACHABLE, UNREACHABLE_WITHIN_CAP, Configuration, Vass, Verdict
 from .errors import BudgetExceededError, PreconditionError
 
 brute_force_oracle = certificates.brute_force_oracle  # perfbench calls decide.brute_force_oracle
@@ -120,23 +132,22 @@ def default_cap(vass: Vass, source: Configuration, target: Configuration) -> int
     return 64 * (n + 1) * (norm + 1) ** 4
 
 
-def _rebuild(parents, key, names, out, maxdeg, low):
-    """The word and state trace of the search path ending at node ``key``,
-    decoded from its chain of parent codes: ``divmod(code, maxdeg)`` is the
-    parent's key and the edge's position in the parent state's ``out``
-    list, and ``key & low`` is a key's state."""
-    word: list[PlaneVector] = []
-    states = [names[key & low]]
+def _rebuild(parents, key, maxdeg, low):
+    """The state and position trace of the search path ending at node
+    ``key``, decoded from its chain of parent codes: ``divmod(code,
+    maxdeg)`` is the parent's key and the edge's position in the parent
+    state's list, and ``key & low`` is a key's state."""
+    states = [key & low]
+    positions = []
     code = parents[key]
     while code is not None:
         key, j = divmod(code, maxdeg)
-        i = key & low
-        word.append(out[i][j][0])
-        states.append(names[i])
+        positions.append(j)
+        states.append(key & low)
         code = parents[key]
-    word.reverse()
     states.reverse()
-    return tuple(word), tuple(states)
+    positions.reverse()
+    return states, positions
 
 
 # Grids of at most this many bits per automaton state, (cap+1)*(cap+1+pad),
@@ -394,15 +405,36 @@ def _spell(vass, source, cap, w, moves, levels, goal, goals):
 
 
 def _sparse_bfs(vass, source, target, cap, length_bound, budget):
-    """The search node by node, with a parent code per discovered node."""
+    """The sparse search on a Vass: its table in declaration order, its
+    initial states in sorted order, and the witness spelled back in its
+    letters and state names."""
     names = vass.states
-    n = len(names)
     index = {q: i for i, q in enumerate(names)}
     out = [[] for _ in names]  # Vass.edges_from of each state, in one pass
-    norm = 0
+    letters = [[] for _ in names]
     for p, v, r in vass.edges:
-        out[index[p]].append((v, r))
-        norm = max(norm, abs(v.x), abs(v.y))
+        i = index[p]
+        out[i].append((v.x, v.y, index[r]))
+        letters[i].append(v)
+    initial = [index[q] for q in sorted(vass.initial)]
+    accepting = [index[q] for q in vass.accepting]
+    explored, trace = search_table(out, initial, accepting, source, target, cap, length_bound, budget)
+    if trace is None:
+        return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=explored, bound=length_bound)
+    states, positions = trace
+    return Verdict(
+        kind=REACHABLE, cap=cap,
+        witness=tuple(letters[i][j] for i, j in zip(states, positions)),
+        states=tuple(names[i] for i in states), explored=explored, bound=length_bound,
+    )
+
+
+def search_table(out, initial, accepting, source, target, cap, length_bound, budget):
+    """The search node by node on a table, with a parent code per
+    discovered node: ``explored``, and the trace (states, positions) of the
+    search path to the first goal reached, or None."""
+    n = len(out)
+    norm = max((max(abs(dx), abs(dy)) for edges in out for dx, dy, _ in edges), default=0)
     # Level d is expanded only below the length bound and while explored,
     # at least d+1 as every level holds a node, is within the budget; so a
     # node keyed before the answer or the budget-out is at most
@@ -418,20 +450,20 @@ def _sparse_bfs(vass, source, target, cap, length_bound, budget):
     succ = [
         [
             (
-                ((v.x * width + v.y) << shift) + index[r] - i,
-                (-v.x * width) << shift, ((cap + 1 - v.x) * width) << shift,
-                -v.y, cap - v.y, j,
+                ((dx * width + dy) << shift) + j - i,
+                (-dx * width) << shift, ((cap + 1 - dx) * width) << shift,
+                -dy, cap - dy, pos,
             )
-            for j, (v, r) in enumerate(edges)
+            for pos, (dx, dy, j) in enumerate(edges)
         ]
         for i, edges in enumerate(out)
     ]
     maxdeg = max(map(len, out), default=0)
-    goals = {((target.x * width + target.y) << shift) | index[q] for q in vass.accepting}
+    goals = {((target.x * width + target.y) << shift) | j for j in accepting}
     parents: dict[int, Optional[int]] = {}
     frontier: list[int] = []
-    for q in sorted(vass.initial):
-        key = ((source.x * width + source.y) << shift) | index[q]
+    for i in initial:
+        key = ((source.x * width + source.y) << shift) | i
         if key not in parents:
             parents[key] = None
             frontier.append(key)
@@ -440,11 +472,7 @@ def _sparse_bfs(vass, source, target, cap, length_bound, budget):
     while frontier:
         if not goals.isdisjoint(frontier):
             key = next(key for key in frontier if key in goals)
-            word, states = _rebuild(parents, key, names, out, maxdeg, low)
-            return Verdict(
-                kind=REACHABLE, cap=cap, witness=word, states=states,
-                explored=explored, bound=length_bound,
-            )
+            return explored, _rebuild(parents, key, maxdeg, low)
         if depth == length_bound:
             break
         explored += len(frontier)
@@ -467,4 +495,4 @@ def _sparse_bfs(vass, source, target, cap, length_bound, budget):
                         push(nxt)
         frontier = nxt_frontier
         depth += 1
-    return Verdict(kind=UNREACHABLE_WITHIN_CAP, cap=cap, explored=explored, bound=length_bound)
+    return explored, None

@@ -6,28 +6,27 @@ least twice; the last case replaces the cycle by its single-vector effect
 flanked by one unrolled copy on each side.  Simple schemes admit a
 complete reachability decision: admissible paths between the endpoints
 can be capped by an explicit bound on visited-point norms.  The decider
-has no search of its own: it runs ``decide.decide_capped_bfs`` at that
-cap on the scheme's path automaton, segments as edges and cycles as
-self-loops, and reads the cycle exponents off the witness's state trace.
+has no search of its own and builds no automaton: it fills
+``decide.search_table``'s integer table straight from the scheme's
+letters, segments as edges to the next state and cycles as self-loops,
+runs that search at the cap, and reads the cycle exponents off the
+witness's state trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterator, Optional
 
 from .core import (
     Configuration,
     Lps,
-    PlaneVector,
     Slps,
-    Vass,
     WitnessResult,
     ZERO,
     effect,
 )
-from .decide import decide_capped_bfs
+from .decide import search_table
 from .errors import BudgetExceededError, InternalDefectError
 
 
@@ -113,19 +112,6 @@ def norm_bound(scheme: Slps) -> int:
     return norm_bound_value(scheme.K, scheme.norm)
 
 
-def _path_automaton(scheme: Slps) -> Vass:
-    """The scheme as a path automaton over states q0..q(K+1): a_i is the
-    edge q_i -> q_(i+1) and b_i a self-loop on q_(i+1).  Each state lists
-    its self-loop before its exit edge; that order fixes which of several
-    equally short witnesses the kernel returns."""
-    states = tuple(f"q{i}" for i in range(scheme.K + 2))
-    edges = [(states[0], scheme.alpha_vec(0), states[1])]
-    for i in range(scheme.K):
-        q = states[i + 1]
-        edges += [(q, scheme.beta_vec(i), q), (q, scheme.alpha_vec(i + 1), states[i + 2])]
-    return Vass(states, tuple(edges), frozenset({states[0]}), frozenset({states[-1]}))
-
-
 DEFAULT_SEARCH_BUDGET = 5_000_000
 
 
@@ -141,29 +127,38 @@ def slps_reach(
 ) -> WitnessResult:
     """Complete reachability decision for a simple scheme.
 
-    Runs the capped BFS kernel on the scheme's path automaton from source
-    to target at ``search_cap``, so a negative answer is unconditional
-    and a positive one is a shortest admissible path within that cap.
-    The kernel's witness spends n_i + 1 states on q_(i+1), which gives
-    cycle exponent n_i; its run is re-checked, and its largest visited norm
-    read, on the 2K+2 corners where its straight stretches end.  Raises
-    BudgetExceededError when the levels the kernel must expand hold more
-    than ``budget`` automaton states.
+    Runs ``decide.search_table`` from source to target at ``search_cap``
+    on the scheme's chain of states 0..K+1: a_0 is the edge 0 -> 1, and
+    state i+1 lists its self-loop b_i before its exit a_(i+1) to state
+    i+2, the order that fixes which of several equally short witnesses
+    the search returns.  So a negative answer is unconditional and a
+    positive one is a shortest admissible path within that cap.  The
+    witness spends n_i + 1 states on state i+1, which gives cycle exponent
+    n_i; its run is re-checked, and its largest visited norm read, on the
+    2K+2 corners where its straight stretches end.  Raises
+    BudgetExceededError when the levels the search must expand hold more
+    than ``budget`` nodes.
     """
+    (a,) = scheme.alphas[0]
+    out = [[(a.x, a.y, 1)]]
+    for i, ((b,), (a,)) in enumerate(zip(scheme.betas, scheme.alphas[1:]), 1):
+        out.append([(b.x, b.y, i), (a.x, a.y, i + 1)])
+    out.append([])
     cap = search_cap(scheme, source, target)
-    verdict = decide_capped_bfs(_path_automaton(scheme), source, target, cap, budget=budget)
-    if verdict.states is None:
+    _, trace = search_table(out, [0], [scheme.K + 1], source, target, cap, None, budget)
+    if trace is None:
         return WitnessResult(reachable=False)
-    exponents = tuple(verdict.states.count(f"q{i + 1}") - 1 for i in range(scheme.K))
-    steps = [scheme.alpha_vec(0)]
-    for i, n in enumerate(exponents):
-        steps += [scheme.beta_vec(i).scale(n), scheme.alpha_vec(i + 1)]
-    corners = list(accumulate(steps, PlaneVector.__add__, initial=source.to_vector()))
-    if min(min(p.x, p.y) for p in corners) < 0 or corners[-1] != target.to_vector():
+    states = trace[0]
+    exponents = tuple(states.count(i + 1) - 1 for i in range(scheme.K))
+    # the coordinates of the corners: the source, then where a_0 and each
+    # stretch b_i^n_i and a_(i+1) end
+    (a,) = scheme.alphas[0]
+    x, y = source.x + a.x, source.y + a.y
+    corners = [source.x, source.y, x, y]
+    for (b,), (a,), n in zip(scheme.betas, scheme.alphas[1:], exponents):
+        x, y = x + n * b.x, y + n * b.y
+        corners += (x, y, x + a.x, y + a.y)
+        x, y = x + a.x, y + a.y
+    if min(corners) < 0 or (x, y) != (target.x, target.y):
         raise InternalDefectError("search produced an invalid witness")
-    return WitnessResult(
-        reachable=True,
-        member=0,
-        exponents=exponents,
-        max_visited_norm=max(p.norm for p in corners),
-    )
+    return WitnessResult(reachable=True, member=0, exponents=exponents, max_visited_norm=max(corners))

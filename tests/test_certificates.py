@@ -3,6 +3,7 @@
 import inspect
 import os
 import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -231,7 +232,7 @@ def test_scheme_answers_build_no_word(monkeypatch, capsys):
 
 def test_verify_parses_each_referenced_file_once(tmp_path, monkeypatch, capsys):
     scheme = tmp_path / "g.vas"
-    scheme.write_text(open(os.path.join(GOLDENS_DIR, "g17-shorten-cut.vas")).read())
+    scheme.write_text(Path(GOLDENS_DIR, "g17-shorten-cut.vas").read_text())
     cert = tmp_path / "g.cert"
     argv = ["shorten", str(scheme), "--op", "cut", "--direction", "0,0", "--count", "3"]
     assert cli.main(argv + ["--cert", str(cert)]) == 0

@@ -5,10 +5,11 @@ import io
 import os
 import subprocess
 import sys
+from pathlib import Path
 from random import Random
 
 from conftest import GOLDENS_DIR, golden_argv, random_lps, reference_split
-from vasskit import Instance, PlaneVector, ZERO, cli, decide, fuzzing, schemes, serialize_instance, slps_of
+from vasskit import Instance, PlaneVector, ZERO, cli, fuzzing, schemes, serialize_instance, slps_of
 from vasskit.core import MAX_PATH_LENGTH
 
 LOOP_TEXT = "vass\nstates a\ninit a\nfinal a\nedge a a -1 1\nquery 2 0 -> 0 2\n"
@@ -333,7 +334,7 @@ def test_verify_rejects_an_empty_file(tmp_path, capsys):
 
 def test_verify_loads_the_instance_line(tmp_path, capsys):
     scheme = tmp_path / "cut.vas"
-    scheme.write_text(open(os.path.join(GOLDENS_DIR, "g17-shorten-cut.vas")).read())
+    scheme.write_text(Path(GOLDENS_DIR, "g17-shorten-cut.vas").read_text())
     cert = tmp_path / "cut.cert"
     argv = ["shorten", str(scheme), "--op", "cut", "--direction", "0,0", "--cert", str(cert)]
     assert run_cli(argv, capsys)[0] == 0
@@ -356,7 +357,7 @@ def test_kind_mismatches(tmp_path, capsys):
         (["flatten", up], "flatten needs a general scheme file"),
     ]:
         assert run_cli_err(argv, capsys) == (2, "", f"error: {message}\n")
-    (tmp_path / "up.vas").write_text(open(up).read())
+    (tmp_path / "up.vas").write_text(Path(up).read_text())
     (tmp_path / "loop.vas").write_text(LOOP_TEXT)
     cert = tmp_path / "mismatch.cert"
     for text, violation in [
@@ -436,8 +437,7 @@ def test_no_state_carries_between_calls(tmp_path, capsys):
 
 def test_internal_defect_exits_4(monkeypatch, capsys):
     # a state trace that never takes the self-loop: exponent 0 misses the target
-    bogus = decide.Verdict(kind=decide.REACHABLE, cap=3, states=("q0", "q1", "q2"))
-    monkeypatch.setattr(schemes, "decide_capped_bfs", lambda *args, **kwargs: bogus)
+    monkeypatch.setattr(schemes, "search_table", lambda *args: (0, ([0, 1, 2], [0, 1])))
     code = cli.main(["slps-decide", os.path.join(GOLDENS_DIR, "g09-slps-up.vas")])
     captured = capsys.readouterr()
     assert code == 4

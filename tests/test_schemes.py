@@ -13,9 +13,12 @@ from vasskit import (
     InternalDefectError,
     Lps,
     PlaneVector,
+    Vass,
     Verdict,
+    WitnessResult,
     ZERO,
     brute_force_oracle,
+    decide_capped_bfs,
     effect,
     instantiate,
     norm_bound,
@@ -188,17 +191,82 @@ def test_kept_budget_error_does_not_pin_the_search():
 
 
 def test_invalid_witness_is_a_defect_not_a_budget_out(monkeypatch):
-    def bogus(vass, source, target, cap, **kwargs):
-        # claims q0 -> q1 -> q2 reaches the target: exponent 0 never climbs
-        return Verdict(kind=REACHABLE, cap=cap, witness=(ZERO, ZERO), states=("q0", "q1", "q2"))
+    def bogus(out, initial, accepting, source, target, cap, length_bound, budget):
+        # claims 0 -> 1 -> 2, a0 then the exit a1, reaches the target: exponent 0 never climbs
+        return 0, ([0, 1, 2], [0, 1])
 
-    monkeypatch.setattr(schemes, "decide_capped_bfs", bogus)
+    monkeypatch.setattr(schemes, "search_table", bogus)
     with pytest.raises(InternalDefectError, match="invalid witness"):
         slps_reach(UP, Configuration(0, 0), Configuration(0, 3))
 
 
+def _path_automaton(scheme):
+    """The scheme as a path automaton over states q0..q(K+1): a_i is the
+    edge q_i -> q_(i+1) and b_i a self-loop on q_(i+1), listed before the
+    state's exit edge."""
+    states = tuple(f"q{i}" for i in range(scheme.K + 2))
+    edges = [(states[0], scheme.alpha_vec(0), states[1])]
+    for i in range(scheme.K):
+        q = states[i + 1]
+        edges += [(q, scheme.beta_vec(i), q), (q, scheme.alpha_vec(i + 1), states[i + 2])]
+    return Vass(states, tuple(edges), frozenset({states[0]}), frozenset({states[-1]}))
+
+
+def _outcome(search):
+    """A search's answer, or its budget message."""
+    try:
+        return search()
+    except BudgetExceededError as err:
+        return str(err)
+
+
+def test_slps_reach_matches_the_kernel_on_the_path_automaton():
+    # slps_reach fills its table straight from the letters; the general
+    # kernel on the path automaton must give the same answers, exponents and
+    # budget messages, around each answer's own explored count too.  A zero
+    # query on a norm-0 scheme has cap 0, where the kernel takes its dense form.
+    rng = Random(27)
+    seen = set()
+    for _ in range(2_000):
+        k = rng.randint(0, 4)
+        norm = rng.randint(0, 3)
+        letter = lambda: V(rng.randint(-norm, norm), rng.randint(-norm, norm))
+        scheme = slps_of([letter() for _ in range(k + 1)], [letter() for _ in range(k)])
+        s = Configuration(rng.randint(0, 5), rng.randint(0, 5))
+        t = Configuration(rng.randint(0, 5), rng.randint(0, 5))
+        trace = run(instantiate(scheme, [rng.randint(0, 3) for _ in range(k)]), s)
+        if rng.random() < 0.5 and trace.admissible:
+            t = Configuration(trace.target.x, trace.target.y)  # reachable by construction
+        automaton = _path_automaton(scheme)
+        for s, t in [(s, t)] + [(O, O)] * (norm == 0):
+            cap = search_cap(scheme, s, t)
+            verdict = _outcome(lambda: decide_capped_bfs(automaton, s, t, cap, budget=2_000))
+            budgets = [2_000]
+            if isinstance(verdict, Verdict):
+                budgets += [max(0, verdict.explored - 1), verdict.explored, verdict.explored + 1]
+            for budget in budgets:
+                verdict = _outcome(lambda: decide_capped_bfs(automaton, s, t, cap, budget=budget))
+                result = _outcome(lambda: slps_reach(scheme, s, t, budget=budget))
+                if isinstance(verdict, str):
+                    assert result == verdict
+                    kind = "budget"
+                elif verdict.kind == REACHABLE:
+                    exponents = tuple(verdict.states.count(f"q{i + 1}") - 1 for i in range(k))
+                    assert result.reachable and result.exponents == exponents
+                    kind = "reachable"
+                else:
+                    assert result == WitnessResult(reachable=False)
+                    kind = "unreachable"
+                seen.add((kind, cap == 0))
+    # at cap 0 every letter is zero and the query is 0 -> 0, so it is reachable
+    assert seen == {
+        ("budget", False), ("reachable", False), ("unreachable", False),
+        ("budget", True), ("reachable", True),
+    }
+
+
 def test_slps_reach_matches_oracle_on_path_automaton():
-    # the oracle runs on the verifier's own path automaton, not the decider's
+    # the oracle runs on the verifier's own path automaton; the decider builds none
     rng = Random(5)
     compared = reachable = 0
     for _ in range(400):

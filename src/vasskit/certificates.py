@@ -8,15 +8,31 @@ Three line formats exist:
 
 A certificate file holds one such line; verdict and result lines are
 preceded by an ``instance: <file>`` line naming the instance they answer,
-since those formats carry no file reference themselves.  Verification
-never trusts the producer and imports no check from its module.  A
-scheme answer is checked in O(K) steps, on the 2K+2 corners of its path
+since those formats carry no file reference themselves.  The verdict
+line of a negative answered without a search (``decide.decide``) ends
+with its refutation, one of
+
+    refute=box boxes=<q>:<xlo>,<xhi>,<ylo>,<yhi>;...
+    refute=lattice basis=<a>,<b>,<c> phi=<q>:<x>,<y>;...
+
+a box per state, or a potential per state and the lattice spanned by
+(a, b) and (0, c); the states left out have none.
+``refutation_violation`` checks either in one pass over the edges: the
+initial boxes hold the source, each edge's image of its source's box,
+clipped to [0, cap]^2, lies in its target's box, and no accepting box
+holds the target; or the initial potentials are 0, the edges from a
+state with a potential lead to one, every discrepancy
+phi(p) + v - phi(r) lies in the lattice, and no accepting state's
+t - s - phi(q) does.
+
+Verification never trusts the producer and imports no check from its
+module.  A scheme answer is checked in O(K) steps, on the 2K+2 corners of its path
 (``_corners``) where a segment or a stretch of cycle repetitions ends:
 along a straight stretch, each coordinate's least value and the infinity
 norm's largest are at its ends.  So neither ``shortening_violation``
 (which the shortening operations also run on what they build) nor a
 ``reachable=true`` result builds a word.  Verdict witnesses are re-run
-against the automaton, and negative answers are re-decided by
+against the automaton, and the other negative answers are re-decided by
 ``brute_force_oracle``, a naive search defined here that shares no code
 with the searches that produced them: "unreachable within cap" verdicts
 under the stated cap and bound, and simple-scheme "reachable=false"
@@ -31,11 +47,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
 from .core import (
-    REACHABLE, UNREACHABLE_WITHIN_CAP, Configuration, PlaneVector, SchemePath, Slps, Vass, Verdict,
-    WitnessResult, Word, require_path, run,
+    REACHABLE, UNREACHABLE_WITHIN_CAP, Configuration, PlaneVector, Refutation, SchemePath, Slps,
+    Vass, Verdict, WitnessResult, Word, require_path, run,
 )
 from .errors import BudgetExceededError, ParseError, PreconditionError
 from .instances import Instance, _meaningful_lines, load_instance, parse_pair
@@ -181,7 +198,13 @@ def witness_violation(
     return None if outside is None else f"witness leaves the stated cap at {outside}"
 
 
-def serialize_verdict(v: Verdict) -> str:
+# per refutation route: the field of its per-state values and their arity
+_REFUTATION_VALUES = {"box": ("boxes", 4), "lattice": ("phi", 2)}
+
+
+def serialize_verdict(v: Verdict, with_refutation: bool = False) -> str:
+    """The verdict line; with ``with_refutation``, a certificate's, which
+    adds the refutation's fields when the verdict has one."""
     parts = [f"verdict: kind={v.kind}", f"cap={v.cap}"]
     if v.bound is not None:
         parts.append(f"bound={v.bound}")
@@ -191,6 +214,13 @@ def serialize_verdict(v: Verdict) -> str:
         parts.append("word=" + ";".join(f"{w.x},{w.y}" for w in v.witness))
     if v.states is not None:
         parts.append("states=" + ",".join(v.states))
+    r = v.refutation
+    if with_refutation and r is not None:
+        parts.append(f"refute={r.route}")
+        if r.basis is not None:
+            parts.append("basis=" + ",".join(map(str, r.basis)))
+        values = ";".join(f"{q}:{','.join(map(str, value))}" for q, value in r.values)
+        parts.append(f"{_REFUTATION_VALUES[r.route][0]}={values}")
     return " ".join(parts)
 
 
@@ -204,9 +234,28 @@ def parse_verdict(line: str, lineno: Optional[int] = None) -> Verdict:
             witness=_word(fields["word"], lineno) if "word" in fields else None,
             states=tuple(fields["states"].split(",")) if "states" in fields else None,
             length=int(fields["length"]) if "length" in fields else None,
+            refutation=_refutation(fields) if "refute" in fields else None,
         )
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad verdict certificate: {exc}", lineno)
+
+
+def _refutation(fields: dict[str, str]) -> Refutation:
+    route = fields["refute"]
+    if route not in _REFUTATION_VALUES:
+        raise ValueError(f"unknown refutation route {route!r}")
+    key, arity = _REFUTATION_VALUES[route]
+    values = []
+    for entry in filter(None, fields[key].split(";")):
+        state, _, numbers = entry.rpartition(":")
+        value = _int_list(numbers)
+        if not state or len(value) != arity:
+            raise ValueError(f"{key} entry {entry!r} is not a state and {arity} integers")
+        values.append((state, value))
+    basis = _int_list(fields["basis"]) if route == "lattice" else None
+    if basis is not None and len(basis) != 3:
+        raise ValueError("basis needs 3 integers")
+    return Refutation(route, tuple(values), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +365,9 @@ def _check_verdict(verdict: Verdict, instance: Optional[Instance], lineno: int) 
         floor = max(s.norm, t.norm)
         if verdict.cap < floor:
             return [f"line {lineno}: stated cap {verdict.cap} is below the endpoint norms {floor}"]
+        if verdict.refutation is not None:
+            reason = refutation_violation(instance.vass, s, t, verdict.cap, verdict.refutation)
+            return [f"line {lineno}: {reason}"] if reason else []
         again = brute_force_oracle(
             instance.vass, s, t, verdict.cap, budget=2_000_000, length_bound=verdict.bound
         )
@@ -323,6 +375,55 @@ def _check_verdict(verdict: Verdict, instance: Optional[Instance], lineno: int) 
             return [f"line {lineno}: target is reachable within the stated cap"]
         return []
     return [f"line {lineno}: unknown verdict kind {verdict.kind!r}"]
+
+
+def refutation_violation(
+    vass: Vass, source: Configuration, target: Configuration, cap: int, refutation: Refutation,
+) -> Optional[str]:
+    """Check a refutation in one pass over the edges; None when it shows
+    that no run within the cap reaches the target, else the violated
+    condition.  A state without a box or a potential holds nothing."""
+    values = dict(refutation.values)
+    if refutation.route == "box":
+        def holds(q, x, y):
+            box = values.get(q)
+            return box is not None and box[0] <= x <= box[1] and box[2] <= y <= box[3]
+
+        if not all(holds(q, source.x, source.y) for q in vass.initial):
+            return "an initial state's box does not hold the source"
+        for p, v, q in vass.edges:
+            if p in values:  # the image of p's box, clipped to [0, cap]^2
+                xlo, xhi, ylo, yhi = values[p]
+                lo = max(xlo + v.x, 0), max(ylo + v.y, 0)
+                hi = min(xhi + v.x, cap), min(yhi + v.y, cap)
+                if lo[0] <= hi[0] and lo[1] <= hi[1] and not (holds(q, *lo) and holds(q, *hi)):
+                    return f"edge {p} -> {q} with label {v} leaves the box of {q}"
+        if any(holds(q, target.x, target.y) for q in vass.accepting):
+            return "an accepting state's box holds the target"
+        return None
+    a, b, c = refutation.basis
+
+    def member(x, y):  # (x, y) in Z(a, b) + Z(0, c)
+        if a == 0:
+            return x == 0 and _divides(gcd(b, c), y)
+        return x % a == 0 and _divides(c, y - x // a * b)
+
+    if any(values.get(q) != (0, 0) for q in vass.initial):
+        return "an initial state's potential is not 0"
+    for p, v, q in vass.edges:
+        if p in values:
+            if q not in values:
+                return f"edge {p} -> {q} leaves the states with a potential"
+            if not member(values[p][0] + v.x - values[q][0], values[p][1] + v.y - values[q][1]):
+                return f"the discrepancy of edge {p} -> {q} with label {v} is not in the lattice"
+    dx, dy = target.x - source.x, target.y - source.y
+    if any(member(dx - values[q][0], dy - values[q][1]) for q in vass.accepting if q in values):
+        return "an accepting state's potential admits the target"
+    return None
+
+
+def _divides(d: int, n: int) -> bool:
+    return n == 0 if d == 0 else n % d == 0
 
 
 def _check_result(result: WitnessResult, instance: Optional[Instance], lineno: int) -> list[str]:
@@ -377,6 +478,9 @@ def brute_force_oracle(
     """
     if length_bound is not None and length_bound < 0:
         raise PreconditionError(f"length bound {length_bound} is negative")
+    out: dict[str, list[tuple[int, int, str]]] = {q: [] for q in vass.states}
+    for p, letter, r in vass.edges:
+        out[p].append((letter.x, letter.y, r))
     level = {(q, source.x, source.y) for q in vass.initial}
     seen = set(level)
     explored = 0
@@ -394,10 +498,8 @@ def brute_force_oracle(
             raise BudgetExceededError(f"oracle exceeded its budget of {budget} states")
         nxt = set()
         for q, x, y in level:
-            for p, letter, r in vass.edges:
-                if p != q:
-                    continue
-                nx, ny = x + letter.x, y + letter.y
+            for dx, dy, r in out[q]:
+                nx, ny = x + dx, y + dy
                 if 0 <= nx <= cap and 0 <= ny <= cap and (r, nx, ny) not in seen:
                     nxt.add((r, nx, ny))
         seen |= nxt

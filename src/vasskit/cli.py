@@ -55,14 +55,13 @@ def _cmd_decide(args, out) -> int:
         cap = max(s.norm + args.length_bound * instance.vass.norm, t.norm)
     elif cap is None:
         cap = decide.default_cap(instance.vass, s, t)
-    verdict = decide.decide_capped_bfs(
-        instance.vass, s, t, cap, length_bound=args.length_bound
-    )
+    verdict = decide.decide(instance.vass, s, t, cap, length_bound=args.length_bound)
     print(certificates.serialize_verdict(verdict), file=out)
     if args.trace and verdict.witness is not None:
         _print_trace(verdict.witness, s, out)
     if args.cert:
-        _write_certificate(args.cert, args.file, [certificates.serialize_verdict(verdict)])
+        line = certificates.serialize_verdict(verdict, with_refutation=True)
+        _write_certificate(args.cert, args.file, [line])
     return EXIT_OK if verdict.kind == REACHABLE else EXIT_NEGATIVE
 
 

@@ -276,10 +276,30 @@ UNREACHABLE_WITHIN_CAP = "UnreachableWithinCap"
 
 
 @dataclass(frozen=True)
+class Refutation:
+    """A search-free reason that no run within a cap reaches the target:
+    a set per automaton state that holds every configuration reached in
+    that state and, in the accepting states, not the target.
+
+    Route "box": ``values`` gives each state its box (xlo, xhi, ylo, yhi);
+    a state without one reaches nothing within the cap.  Route "lattice":
+    ``values`` gives each state reachable in the control graph its
+    potential (x, y), and every configuration reached in q lies in
+    source + potential(q) + L, for L the lattice spanned by (a, b) and
+    (0, c), ``basis`` = (a, b, c).
+    """
+
+    route: str
+    values: tuple[tuple[str, tuple[int, ...]], ...]
+    basis: Optional[tuple[int, int, int]] = None
+
+
+@dataclass(frozen=True)
 class Verdict:
     """A decision with provenance: the cap and any length bound used, the
-    witness (word and state trace) when reachable, and ``explored``, the
-    number of nodes in the BFS levels expanded before the answer."""
+    witness (word and state trace) when reachable, ``explored``, the
+    number of nodes in the BFS levels expanded before the answer, and the
+    refutation of a negative answered without a search."""
 
     kind: str
     cap: int
@@ -288,6 +308,7 @@ class Verdict:
     explored: int = 0
     length: Optional[int] = None  # witness length; oracles report it without a word
     bound: Optional[int] = None  # the length bound of a length-bounded search
+    refutation: Optional[Refutation] = None
 
     def __post_init__(self):
         if self.witness is not None and self.length is None:

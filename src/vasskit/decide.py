@@ -1,5 +1,22 @@
 """Reachability decisions for planar vector addition systems with states.
 
+The route runner ``decide`` answers the command line's queries.  Without
+a length bound it tries two search-free routes at the cap, in this
+order, and answers UnreachableWithinCap with ``explored`` 0 and the
+route's ``Refutation`` when one refutes the query; otherwise, and always
+under a length bound, it returns the verdict of ``decide_capped_bfs``.
+The box route (``_box_refutation``) joins the source into the initial
+states' boxes and each edge's image of its source's box, clipped to
+[0, cap]^2, into its target's box, one strongly connected component at
+a time in topological order (``_components``); inside a component it
+sweeps the component's edges until a sweep changes nothing, widening to 0
+or to the cap any bound that still grows after the second sweep, and
+then fires the edges that leave it once.  The lattice route
+(``_lattice_refutation``) gives the states a breadth-first spanning
+forest's potentials, the initial states 0, and spans the lattice of the
+other edges' discrepancies in ``lattice``.  It ignores the cap: its
+refutations hold at every cap.
+
 One breadth-first search, ``decide_capped_bfs``, decides the general
 system.  It explores (automaton state, configuration) pairs with both
 counters bounded by a cap, level by level, each pair at most once.  A
@@ -114,8 +131,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from . import certificates
-from .core import REACHABLE, UNREACHABLE_WITHIN_CAP, Configuration, Vass, Verdict
+from . import certificates, lattice
+from .core import REACHABLE, UNREACHABLE_WITHIN_CAP, Configuration, Refutation, Vass, Verdict
 from .errors import BudgetExceededError, PreconditionError
 
 brute_force_oracle = certificates.brute_force_oracle  # perfbench calls decide.brute_force_oracle
@@ -208,6 +225,110 @@ def decide_capped_bfs(
         if verdict is not None:
             return verdict
     return _sparse_bfs(vass, source, target, cap, length_bound, budget)
+
+
+def decide(
+    vass: Vass, source: Configuration, target: Configuration, cap: int,
+    length_bound: Optional[int] = None,
+) -> Verdict:
+    """The route runner: UnreachableWithinCap with ``explored`` 0 and a
+    refutation when the box route or else the lattice route refutes the
+    query at the cap, and otherwise, or with a length bound, the verdict
+    of ``decide_capped_bfs``."""
+    if length_bound is None and cap >= max(source.norm, target.norm):
+        index = {q: i for i, q in enumerate(vass.states)}
+        moves = [[] for _ in vass.states]  # per state: (letter, target) in edge order
+        for p, v, q in vass.edges:
+            moves[index[p]].append(((v.x, v.y), index[q]))
+        initial = sorted(index[q] for q in vass.initial)
+        accepting = [index[q] for q in vass.accepting]
+        for route in (_box_refutation, _lattice_refutation):
+            refutation = route(moves, initial, accepting, source, target, cap)
+            if refutation is not None:
+                route_name, values, basis = refutation
+                named = tuple((q, value) for q, value in zip(vass.states, values) if value is not None)
+                return Verdict(
+                    kind=UNREACHABLE_WITHIN_CAP, cap=cap,
+                    refutation=Refutation(route_name, named, basis),
+                )
+    return decide_capped_bfs(vass, source, target, cap, length_bound=length_bound)
+
+
+def _box_refutation(moves, initial, accepting, source, target, cap):
+    """The forward boxes per state of the module docstring, None for a
+    state without one; ("box", boxes, None) when no accepting state's box
+    holds the target, else None."""
+    boxes = [None] * len(moves)
+    for i in initial:
+        boxes[i] = (source.x, source.x, source.y, source.y)
+    for part, inner, exits in _components(moves):
+        if not any(boxes[i] for i in part):
+            continue
+        sweeps = 0
+        while True:
+            before = [boxes[i] for i in part]
+            _join_images(inner, boxes, cap)
+            sweeps += 1
+            if [boxes[i] for i in part] == before:
+                break
+            if sweeps > 2:
+                for i, old in zip(part, before):
+                    if old is not None:
+                        xlo, xhi, ylo, yhi = boxes[i]
+                        boxes[i] = (
+                            0 if xlo < old[0] else xlo, cap if xhi > old[1] else xhi,
+                            0 if ylo < old[2] else ylo, cap if yhi > old[3] else yhi,
+                        )
+        _join_images(exits, boxes, cap)
+    for j in accepting:
+        box = boxes[j]
+        if box is not None and box[0] <= target.x <= box[1] and box[2] <= target.y <= box[3]:
+            return None
+    return "box", boxes, None
+
+
+def _join_images(moves, boxes, cap):
+    """Join each move's image of its source's box, clipped to [0, cap]^2,
+    into its target's box, in order and in place."""
+    for i, (dx, dy), j in moves:
+        box = boxes[i]
+        if box is None:
+            continue
+        xlo, xhi = max(box[0] + dx, 0), min(box[1] + dx, cap)
+        ylo, yhi = max(box[2] + dy, 0), min(box[3] + dy, cap)
+        if xlo > xhi or ylo > yhi:
+            continue
+        old = boxes[j]
+        if old is not None:
+            xlo, xhi = min(xlo, old[0]), max(xhi, old[1])
+            ylo, yhi = min(ylo, old[2]), max(yhi, old[3])
+        boxes[j] = (xlo, xhi, ylo, yhi)
+
+
+def _lattice_refutation(moves, initial, accepting, source, target, cap):
+    """The potentials of the module docstring, None for a state the
+    control graph does not reach, and the lattice of the discrepancies
+    phi(p) + v - phi(r); ("lattice", potentials, basis) when no accepting
+    state's t - s - phi(q) lies in the lattice, else None."""
+    phi = [None] * len(moves)
+    for i in initial:
+        phi[i] = (0, 0)
+    basis = lattice.ZERO_LATTICE
+    queue = list(initial)  # breadth first: the list grows while it is read
+    for p in queue:
+        px, py = phi[p]
+        for (dx, dy), r in moves[p]:
+            x, y = px + dx, py + dy
+            if phi[r] is None:
+                phi[r] = (x, y)
+                queue.append(r)
+            else:
+                basis = lattice.add(basis, x - phi[r][0], y - phi[r][1])
+    dx, dy = target.x - source.x, target.y - source.y
+    for j in accepting:
+        if phi[j] is not None and lattice.contains(basis, dx - phi[j][0], dy - phi[j][1]):
+            return None
+    return "lattice", phi, basis
 
 
 def _budget_error(budget: int, depth: int, largest: int) -> BudgetExceededError:
@@ -308,8 +429,9 @@ def _dense_levels(vass, source, target, cap, length_bound, budget):
 def _components(moves):
     """The strongly connected components of the moves between automaton
     states, in topological order, each as (states, inner moves, exit
-    moves); a move is (source, shift, target), and among each state's
-    inner moves its self-loops come first."""
+    moves); a move is (source, label, target), the label a bitset shift
+    or a letter, and among each state's inner moves its self-loops come
+    first."""
     n = len(moves)
     reach = [1 << i for i in range(n)]  # reach[i]: the states i reaches, as a bitmask
     for i, out in enumerate(moves):

@@ -7,9 +7,10 @@ line (``seg 0 1``); general LPS files carry a space-separated list of
 ``x,y`` pairs instead, which may be empty for ``seg``.  An optional
 ``path n1 n2 ...`` line fixes cycle exponents and an optional
 ``query sx sy -> tx ty`` line states a reachability question; a second
-``path`` or ``query`` line, or a state named twice on ``states`` lines,
-is a ParseError naming its line.  A file is read in one pass, so of
-several errors the first by line is reported.
+``path`` or ``query`` line, a state named twice on ``states`` lines, or
+a state name holding ``,`` or ``;``, which separate the state names of
+a certificate line, is a ParseError naming its line.  A file is read in
+one pass, so of several errors the first by line is reported.
 """
 
 from __future__ import annotations
@@ -88,6 +89,10 @@ def parse_instance(text: str) -> Instance:
     return _parse_scheme(kind, body)
 
 
+# the separators of the state names in a certificate's states=, boxes= and phi= fields
+_SEPARATORS = frozenset(",;")
+
+
 def _parse_vass(body) -> Instance:
     states: list[str] = []
     init: set[str] = set()
@@ -100,6 +105,8 @@ def _parse_vass(body) -> Instance:
             for name in rest:
                 if name in states:
                     raise ParseError(f"state {name!r} declared twice", lineno)
+                if not _SEPARATORS.isdisjoint(name):
+                    raise ParseError(f"state name {name!r} holds a certificate separator", lineno)
                 states.append(name)
         elif key == "init":
             init.update(rest)

@@ -31,7 +31,9 @@ from vasskit import (
     slps_of,
 )
 from vasskit import decide, fuzzing, schemes
-from vasskit.certificates import verify_certificate_file
+from vasskit.certificates import (
+    parse_verdict, refutation_violation, serialize_verdict, verify_certificate_file,
+)
 
 
 def report(capsys, number: int, ok: bool, detail: str):
@@ -222,10 +224,13 @@ def _small_scope():
 
 # sha256 of the answers' (kind, length, explored) lines, in query order
 SMALL_SCOPE_DIGEST = "b1e5afe070cb1803b742a9554716c3206d645517f0b77dac299a33abda4db7fe"
+# the capped negatives the route runner refutes, by route, of the scope's 53,844
+SMALL_SCOPE_ROUTES = {"box": 51_604, "lattice": 2_068}
 
 
 def test_acceptance_9_small_scope_decider(capsys, monkeypatch):
-    # both kernel forms and brute_force_oracle on every query of the scope
+    # both kernel forms and brute_force_oracle on every query of the scope,
+    # and the route runner, whose refutations the checker must accept
     started = time.monotonic()
     points = [Configuration(x, y) for x in range(3) for y in range(3)]
     queries = [(vass, s, t) for vass in _small_scope() for s in points for t in points]
@@ -238,14 +243,28 @@ def test_acceptance_9_small_scope_decider(capsys, monkeypatch):
         query for query, a, b, c in zip(queries, dense, sparse, slow)
         if a != b or (a.kind, a.length, a.explored) != (c.kind, c.length, c.explored)
     ]
+    routes = {"box": 0, "lattice": 0}
+    for query, a, c in zip(queries, dense, slow):
+        verdict = decide.decide(*query, 12)
+        if verdict.refutation is None:
+            if verdict != a:
+                disagreements.append(query)
+            continue
+        routes[verdict.refutation.route] += 1
+        line = serialize_verdict(verdict, with_refutation=True)
+        refutation = parse_verdict(line.split(": ", 1)[1]).refutation
+        if c.kind == REACHABLE or refutation_violation(*query, 12, refutation):
+            disagreements.append(query)
     lines = "".join(f"{v.kind} {v.length} {v.explored}\n" for v in dense)
     digest = hashlib.sha256(lines.encode()).hexdigest()
     reachable = sum(v.kind == REACHABLE for v in dense)
     elapsed = time.monotonic() - started
     report(
         capsys, 9,
-        not disagreements and digest == SMALL_SCOPE_DIGEST and len(queries) == 57_672,
+        not disagreements and digest == SMALL_SCOPE_DIGEST and len(queries) == 57_672
+        and routes == SMALL_SCOPE_ROUTES,
         f"{len(queries)} queries on {len(queries) // 81} automata, {reachable} reachable,"
-        f" {len(disagreements)} disagreements, digest {digest[:12]}, {elapsed:.1f}s"
+        f" {len(disagreements)} disagreements, digest {digest[:12]},"
+        f" refuted by box {routes['box']}, by lattice {routes['lattice']}, {elapsed:.1f}s"
         + (f"; first: {disagreements[0]}" if disagreements else ""),
     )

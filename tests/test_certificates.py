@@ -258,3 +258,90 @@ def test_verify_unknown_line(tmp_path):
     cert.write_text("mystery: a=b\n")
     with pytest.raises(ParseError):
         verify_certificate_file(str(cert))
+
+
+# every reachable point has both coordinates divisible by 3, so (1, 1) is out of reach
+THREES_TEXT = (
+    "vass\nstates p q\ninit p\nfinal q\nedge p p 3 0\nedge p p 0 3\nedge p q 0 0\n"
+    "query 0 0 -> 1 1\n"
+)
+
+
+def test_refutation_round_trip():
+    threes = parse_instance(THREES_TEXT)
+    dead = instances.load_instance(os.path.join(GOLDENS_DIR, "g08-dead.vas"))
+    for instance, route in ((threes, "lattice"), (dead, "box")):
+        verdict = decide.decide(instance.vass, *instance.query, 40)
+        assert verdict.refutation.route == route and verdict.explored == 0
+        line = serialize_verdict(verdict, with_refutation=True)
+        assert line.startswith(serialize_verdict(verdict) + f" refute={route} ")
+        assert parse_verdict(line.split(": ", 1)[1]) == verdict
+    assert serialize_verdict(verdict) == "verdict: kind=UnreachableWithinCap cap=40"
+
+
+def test_refutations_are_checked_without_a_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify re-searched a refuted negative")
+
+    monkeypatch.setattr(certificates, "brute_force_oracle", refuse)
+    bundled = [
+        os.path.join(GOLDENS_DIR, "certs", name + ".cert")
+        for name in ("g02-loop-unreach", "g06-parity", "g08-dead")
+    ]
+    for path, route in zip(bundled, ("box", "lattice", "box")):
+        assert f" refute={route} " in Path(path).read_text()
+        assert verify_certificate_file(path) == [], path
+
+
+def _golden(name):
+    return os.path.abspath(os.path.join(GOLDENS_DIR, name))
+
+
+@pytest.mark.parametrize("instance, fields, violation", [
+    # g08: edge a a 0 1 from (0,0), b unreachable; the box of a shrunk by one at the top
+    ("g08-dead.vas", "cap=3072 refute=box boxes=a:0,0,0,3071",
+     "edge a -> a with label (0,1) leaves the box of a"),
+    # g02: edge a a -1 1 from (0,0) to (1,0)
+    ("g02-loop-unreach.vas", "cap=2048 refute=box boxes=a:1,1,0,0",
+     "an initial state's box does not hold the source"),
+    ("g08-dead.vas", "cap=3072 refute=box boxes=a:0,0,0,3072;b:0,0,0,0",
+     "an accepting state's box holds the target"),
+    ("threes.vas", "cap=40 refute=lattice basis=3,0,3 phi=p:0,0;q:1,0",
+     "the discrepancy of edge p -> q with label (0,0) is not in the lattice"),
+    ("threes.vas", "cap=40 refute=lattice basis=3,0,6 phi=p:0,0;q:0,0",
+     "the discrepancy of edge p -> p with label (0,3) is not in the lattice"),
+    ("threes.vas", "cap=40 refute=lattice basis=3,0,3 phi=p:1,0;q:1,0",
+     "an initial state's potential is not 0"),
+    ("threes.vas", "cap=40 refute=lattice basis=3,0,3 phi=p:0,0",
+     "edge p -> q leaves the states with a potential"),
+    ("threes.vas", "cap=40 refute=lattice basis=1,0,1 phi=p:0,0;q:0,0",
+     "an accepting state's potential admits the target"),
+    # g01 reaches its target: the refutations of g02 and g06 on its instance
+    ("g01-loop.vas", "cap=10368 refute=box boxes=a:0,0,0,0",
+     "an initial state's box does not hold the source"),
+    ("g01-loop.vas", "cap=10368 refute=lattice basis=2,0,0 phi=a:0,0",
+     "the discrepancy of edge a -> a with label (-1,1) is not in the lattice"),
+])
+def test_verify_rejects_a_broken_refutation(tmp_path, monkeypatch, instance, fields, violation):
+    monkeypatch.setattr(certificates, "brute_force_oracle", None)  # no search to fall back on
+    (tmp_path / "threes.vas").write_text(THREES_TEXT)
+    path = instance if instance == "threes.vas" else _golden(instance)
+    cert = tmp_path / "refuted.cert"
+    cert.write_text(f"instance: {path}\nverdict: kind=UnreachableWithinCap {fields}\n")
+    assert verify_certificate_file(str(cert)) == [f"line 2: {violation}"]
+
+
+@pytest.mark.parametrize("fields", [
+    "refute=maybe boxes=a:0,0,0,0",
+    "refute=box boxes=a:0,0,0",
+    "refute=box boxes=0,0,0,0",
+    "refute=lattice phi=a:0,0",
+    "refute=lattice basis=1,0 phi=a:0,0",
+    "refute=lattice basis=1,0,1 boxes=a:0,0,0,0",
+])
+def test_verify_rejects_a_malformed_refutation(tmp_path, fields):
+    cert = tmp_path / "refuted.cert"
+    cert.write_text(f"instance: {_golden('g02-loop-unreach.vas')}\n"
+                    f"verdict: kind=UnreachableWithinCap cap=2048 {fields}\n")
+    with pytest.raises(ParseError, match="line 2: bad verdict certificate"):
+        verify_certificate_file(str(cert))

@@ -5,11 +5,14 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from random import Random
 
 from conftest import GOLDENS_DIR, golden_argv, random_lps, reference_split
-from vasskit import Instance, PlaneVector, ZERO, cli, fuzzing, schemes, serialize_instance, slps_of
+from vasskit import (
+    Instance, PlaneVector, ZERO, certificates, cli, fuzzing, schemes, serialize_instance, slps_of,
+)
 from vasskit.core import MAX_PATH_LENGTH
 
 LOOP_TEXT = "vass\nstates a\ninit a\nfinal a\nedge a a -1 1\nquery 2 0 -> 0 2\n"
@@ -35,6 +38,30 @@ def test_decide_exit_codes(tmp_path, capsys):
     f.write_text(LOOP_TEXT.replace("query 2 0 -> 0 2", "query 0 0 -> 1 0"))
     code, out = run_cli(["decide", str(f), "--cap", "10"], capsys)
     assert code == 1
+
+
+def test_decide_refutes_a_lattice_query_at_the_default_cap(tmp_path, capsys, monkeypatch):
+    # every reachable point has both coordinates divisible by 3; the whole
+    # capped region holds millions of nodes
+    f = tmp_path / "threes.vas"
+    f.write_text(
+        "vass\nstates p q\ninit p\nfinal q\nedge p p 3 0\nedge p p 0 3\nedge p q 0 0\n"
+        "query 0 0 -> 1 1\n"
+    )
+    cert = tmp_path / "threes.cert"
+    started = time.monotonic()
+    code, out = run_cli(["decide", str(f), "--cert", str(cert)], capsys)
+    assert time.monotonic() - started < 0.5
+    assert (code, out) == (1, "verdict: kind=UnreachableWithinCap cap=49152\n")
+    assert cert.read_text().splitlines()[1] == (
+        "verdict: kind=UnreachableWithinCap cap=49152 refute=lattice basis=3,0,3 phi=p:0,0;q:0,0"
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify re-searched a refuted negative")
+
+    monkeypatch.setattr(certificates, "brute_force_oracle", refuse)
+    assert run_cli(["verify", str(cert)], capsys) == (0, "verify: ok\n")
 
 
 def test_decide_missing_file(capsys):

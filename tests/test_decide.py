@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from vasskit import decide
+from vasskit import certificates, decide
 from vasskit import (
     BudgetExceededError,
     Configuration,
@@ -19,6 +19,7 @@ from vasskit import (
     default_cap,
     witness_violation,
 )
+from vasskit.core import Refutation
 
 V = PlaneVector
 
@@ -611,3 +612,57 @@ def test_witness_violation_messages():
     assert witness_violation(LOOP, s, t, word, ("a", "a", "a")) is None
     bad_word = (V(-1, 1), V(1, 1))
     assert witness_violation(LOOP, s, t, bad_word, ("a", "a", "a")) is not None
+
+
+def test_runner_with_a_length_bound_runs_the_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a route ran under a length bound")
+
+    monkeypatch.setattr(decide, "_box_refutation", refuse)
+    monkeypatch.setattr(decide, "_lattice_refutation", refuse)
+    s, t = Configuration(0, 0), Configuration(1, 0)
+    for bound in (0, 3):
+        verdict = decide.decide(LOOP, s, t, 10, length_bound=bound)
+        assert verdict == decide_capped_bfs(LOOP, s, t, 10, length_bound=bound)
+    with pytest.raises(PreconditionError):
+        decide.decide(LOOP, Configuration(5, 0), t, 4)
+
+
+def test_box_route_widens_one_component_at_a_time():
+    # p fills the grid; the only way into f lowers x, and f never raises it
+    vass = Vass(
+        ("p", "f"),
+        (("p", V(1, 0), "p"), ("p", V(0, 1), "p"), ("p", V(-1, 0), "f"), ("f", V(0, -1), "f")),
+        frozenset({"p"}), frozenset({"f"}),
+    )
+    s = Configuration(0, 0)
+    verdict = decide.decide(vass, s, Configuration(10, 0), 10)
+    assert verdict.refutation == Refutation("box", (("p", (0, 10, 0, 10)), ("f", (0, 9, 0, 10))))
+    assert decide.decide(vass, s, Configuration(9, 0), 10).kind == REACHABLE
+
+
+def test_runner_matches_the_kernel_and_its_refutations_check():
+    rng = Random(31)
+    routes = {"box": 0, "lattice": 0}
+    for _ in range(600):
+        names = ("p", "q", "r")[: rng.randint(1, 3)]
+        edges = tuple(
+            (rng.choice(names), V(rng.randint(-2, 2), rng.randint(-2, 2)), rng.choice(names))
+            for _ in range(rng.randint(0, 5))
+        )
+        vass = Vass(
+            names, edges, frozenset(rng.sample(names, rng.randint(1, len(names)))),
+            frozenset(rng.sample(names, rng.randint(1, len(names)))),
+        )
+        cap = rng.randint(2, 12)
+        s, t = (Configuration(rng.randint(0, cap), rng.randint(0, cap)) for _ in range(2))
+        verdict = decide.decide(vass, s, t, cap)
+        kernel = decide_capped_bfs(vass, s, t, cap)
+        if verdict.refutation is None:
+            assert verdict == kernel
+            continue
+        assert kernel.kind == UNREACHABLE_WITHIN_CAP
+        assert (verdict.kind, verdict.cap, verdict.explored) == (UNREACHABLE_WITHIN_CAP, cap, 0)
+        assert certificates.refutation_violation(vass, s, t, cap, verdict.refutation) is None
+        routes[verdict.refutation.route] += 1
+    assert routes == {"box": 418, "lattice": 49}

@@ -132,6 +132,16 @@ def test_repeated_lines_are_errors(text, message):
         parse_instance(text)
 
 
+@pytest.mark.parametrize("name", ["a,b", "c;d"])
+def test_state_names_hold_no_certificate_separator(name):
+    # a witness's states= field splits on ",", and the boxes= and phi=
+    # fields of a refutation on ";", so a certificate naming such a state
+    # would misparse
+    with pytest.raises(ParseError, match=f"line 2: state name '{name}' holds a certificate separator"):
+        parse_instance(f"vass\nstates p {name}\n")
+    assert parse_instance("vass\nstates p q:1 k=v\n").vass.states == ("p", "q:1", "k=v")
+
+
 def test_repeated_query_line_exits_2(tmp_path, capsys):
     f = tmp_path / "twice.vas"
     f.write_text(VASS_TEXT + "query 0 0 -> 1 1\n")

@@ -47,7 +47,7 @@ from .errors import (
     PreconditionError,
     VasskitError,
 )
-from .instances import Instance, load_instance, parse_instance, serialize_instance
+from .instances import Instance, load_instance, parse_instance, slps_line
 from .schemes import (
     SlpsMember,
     norm_bound,
@@ -56,6 +56,7 @@ from .schemes import (
     search_cap,
     slps_reach,
     split_lps,
+    split_walk,
 )
 from .shortening import (
     AwayOtherResult,

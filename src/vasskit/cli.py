@@ -3,7 +3,8 @@
 Subcommands: decide, slps-decide, shorten, flatten, verify, fuzz.
 Exit codes are a fixed contract: 0 success/Reachable, 1 negative verdict
 or failed verification/fuzzing, 2 input error, 3 budget exhaustion,
-4 internal defect (a state the construction rules out was reached).
+4 internal defect (a state the construction rules out was reached),
+141 stdout closed by its reader before the output was written.
 All output is byte-identical across runs given the same inputs and seeds.
 """
 
@@ -18,13 +19,14 @@ from typing import Optional
 from . import certificates, decide, fuzzing, schemes, shortening
 from .core import REACHABLE, Configuration, instantiate, run
 from .errors import BudgetExceededError, ParseError, PreconditionError, VasskitError
-from .instances import Instance, load_instance, parse_pair, serialize_instance
+from .instances import load_instance, parse_pair, slps_line
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_DEFECT = 4
+EXIT_CLOSED_OUTPUT = 141  # 128 + SIGPIPE, a shell's status for a writer whose reader left
 
 
 def _print_trace(word, source: Configuration, out) -> None:
@@ -137,11 +139,14 @@ def _cmd_flatten(args, out) -> int:
     instance = load_instance(args.file)
     if instance.kind != "lps":
         raise ParseError("flatten needs a general scheme file")
-    members = schemes.split_lps(instance.scheme)
-    print(f"members: {3**instance.scheme.K}", file=out)
-    for member in members:
-        print("# member profile=" + ",".join(map(str, member.profile)), file=out)
-        print(serialize_instance(Instance(kind="slps", scheme=member.scheme)), end="", file=out)
+    # a profile is written ",u1,u2,...", so its first comma is dropped
+    members = schemes.split_walk(
+        instance.scheme, (",0", ",1", ",2"),
+        lambda v: slps_line("seg", v), lambda v, origin: slps_line("cyc", v),
+    )
+    out.write(f"members: {3**instance.scheme.K}\n")
+    for profile, lines in members:
+        out.write("# member profile=" + profile[1:] + "\nslps\n" + lines)
     return EXIT_OK
 
 
@@ -265,8 +270,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 after printing a usage error
         return EXIT_INPUT if exc.code else EXIT_OK
+    out = sys.stdout
     try:
-        return args.handler(args, sys.stdout)
+        code = args.handler(args, out)
+        out.flush()  # so that a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # stdout's reader has gone, as in `vasskit flatten x | head`
+        # the Python docs' recipe: stdout to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return EXIT_CLOSED_OUTPUT
     except (OSError, VasskitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _ERROR_EXIT_CODES if isinstance(exc, kinds))

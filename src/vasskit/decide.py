@@ -11,7 +11,8 @@ states' boxes and each edge's image of its source's box, clipped to
 a time in topological order (``_components``); inside a component it
 sweeps the component's edges until a sweep changes nothing, widening to 0
 or to the cap any bound that still grows after the second sweep, and
-then fires the edges that leave it once.  The lattice route
+then fires the edges that leave it once; it gives up as soon as an
+accepting state's box holds the target.  The lattice route
 (``_lattice_refutation``) gives the states a breadth-first spanning
 forest's potentials, the initial states 0, and spans the lattice of the
 other edges' discrepancies in ``lattice``.  It ignores the cap: its
@@ -257,10 +258,21 @@ def decide(
 def _box_refutation(moves, initial, accepting, source, target, cap):
     """The forward boxes per state of the module docstring, None for a
     state without one; ("box", boxes, None) when no accepting state's box
-    holds the target, else None."""
+    holds the target, else None, returned once one does: boxes only grow,
+    so it is checked after each sweep and after each component's exits."""
     boxes = [None] * len(moves)
     for i in initial:
         boxes[i] = (source.x, source.x, source.y, source.y)
+
+    tx, ty = target.x, target.y
+
+    def holds_target():
+        for j in accepting:
+            box = boxes[j]
+            if box is not None and box[0] <= tx <= box[1] and box[2] <= ty <= box[3]:
+                return True
+        return False
+
     for part, inner, exits in _components(moves):
         if not any(boxes[i] for i in part):
             continue
@@ -268,6 +280,8 @@ def _box_refutation(moves, initial, accepting, source, target, cap):
         while True:
             before = [boxes[i] for i in part]
             _join_images(inner, boxes, cap)
+            if holds_target():
+                return None
             sweeps += 1
             if [boxes[i] for i in part] == before:
                 break
@@ -280,10 +294,9 @@ def _box_refutation(moves, initial, accepting, source, target, cap):
                             0 if ylo < old[2] else ylo, cap if yhi > old[3] else yhi,
                         )
         _join_images(exits, boxes, cap)
-    for j in accepting:
-        box = boxes[j]
-        if box is not None and box[0] <= target.x <= box[1] and box[2] <= target.y <= box[3]:
+        if holds_target():
             return None
+    # a box only changes in a component that holds one, which ends in a check
     return "box", boxes, None
 
 

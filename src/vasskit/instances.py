@@ -1,4 +1,4 @@
-"""Instance file parsing and canonical serialization.
+"""Instance file parsing, and the line a simple scheme's letter is written as.
 
 The format is UTF-8 and line-based; ``#`` starts a comment and blank lines
 are ignored.  The first meaningful line names the kind: ``vass``, ``lps``
@@ -173,36 +173,9 @@ def _parse_scheme(kind: str, body) -> Instance:
     return Instance(kind=kind, scheme=scheme, exponents=exponents, query=query)
 
 
-def serialize_instance(instance: Instance) -> str:
-    """Canonical text form; parse(serialize(x)) == x and round-trips bytes on goldens."""
-    out: list[str] = [instance.kind]
-    if instance.kind == "vass":
-        v = instance.vass
-        out.append("states " + " ".join(v.states))
-        out.append("init " + " ".join(sorted(v.initial)))
-        out.append("final " + " ".join(sorted(v.accepting)))
-        for p, vec, q in v.edges:
-            out.append(f"edge {p} {q} {vec.x} {vec.y}")
-    else:
-        s = instance.scheme
-        if instance.kind == "slps":
-            out += [f"seg {a.x} {a.y}\ncyc {b.x} {b.y}" for (a,), (b,) in zip(s.alphas, s.betas)]
-            (a,) = s.alphas[-1]
-            out.append(f"seg {a.x} {a.y}")
-        else:
-            for alpha, beta in zip(s.alphas, s.betas):
-                out += [_scheme_line("seg", alpha), _scheme_line("cyc", beta)]
-            out.append(_scheme_line("seg", s.alphas[-1]))
-        if instance.exponents is not None:
-            out.append("path " + " ".join(str(n) for n in instance.exponents))
-    if instance.query is not None:
-        src, tgt = instance.query
-        out.append(f"query {src.x} {src.y} -> {tgt.x} {tgt.y}")
-    return "\n".join(out) + "\n"
-
-
-def _scheme_line(key: str, word: Word) -> str:
-    return (key + " " + " ".join(f"{v.x},{v.y}" for v in word)).rstrip()
+def slps_line(key: str, v: PlaneVector) -> str:
+    """The ``seg`` or ``cyc`` line of a simple scheme's letter v, with its newline."""
+    return f"{key} {v.x} {v.y}\n"
 
 
 def load_instance(path) -> Instance:

@@ -16,7 +16,8 @@ witness's state trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import reduce
+from typing import Callable, Iterator, Optional
 
 from .core import (
     Configuration,
@@ -41,22 +42,29 @@ class SlpsMember:
     cycle_origin: tuple[Optional[int], ...]
 
 
-# the most simple schemes ``split_lps`` yields (3^10 are 32 MB of ``flatten`` output)
+# the most simple schemes ``split_walk`` yields (3^10 are 32 MB of ``flatten`` output)
 MAX_SPLIT_MEMBERS = 3**10
 
 
-def split_lps(scheme: Lps) -> Iterator[SlpsMember]:
+def split_walk(scheme: Lps, usages: tuple, segment: Callable, cycle: Callable) -> Iterator[tuple]:
     """Split a general scheme into simple schemes, one per cycle-usage
     profile (0, 1 or >=2 uses), preserving the union of reachability
-    relations.
+    relations; yields (profile, member), both in the caller's forms.
 
-    A member's fixed letters fall into groups split by its normalized
-    cycles; a group's letters after its first are segments behind
-    zero-cycles, and an empty group is the zero letter.  Profiles are
-    walked depth-first in (0, 1, 2) order, ``itertools.product``'s, each
-    prefix carrying its closed segments, cycles and origins and its open
-    group, so members share the input's letters; each is yielded as the
-    walk reaches it.
+    A profile is the concatenation of its cycles' ``usages[n]``.  A member
+    is written in ``segment(v)``, the form of a segment letter v, and
+    ``cycle(v, origin)``, that of a cycle letter, ``origin`` the index of
+    the cycle whose effect v is or None for a zero-cycle pad.  Forms
+    concatenate with ``+`` (text or tuples).  A cycle is omitted (0),
+    unrolled once into the open group of letters (1), or normalized (2):
+    its first copy closes the group, its effect letter stands for its
+    further turns, and its second copy opens the next group.  A group is
+    written as its letters with a zero-cycle pad between each two
+    (``then``), an empty group as the zero letter.  Profiles are walked
+    depth-first in (0, 1, 2) order, ``itertools.product``'s, each prefix
+    carrying its closed part and its open group already written, so the
+    members share them and each costs one concatenation; each is yielded
+    as the walk reaches it.
 
     Raises BudgetExceededError when called, before building anything, if
     the 3^K members would be more than MAX_SPLIT_MEMBERS.
@@ -67,25 +75,55 @@ def split_lps(scheme: Lps) -> Iterator[SlpsMember]:
             f"splitting {k} cycles makes {3**k} simple schemes,"
             f" more than the limit of {MAX_SPLIT_MEMBERS}"
         )
-    alphas = [tuple((a,) for a in word) for word in scheme.alphas]
-    betas = [tuple((b,) for b in word) for word in scheme.betas]
-    effects = [((effect(word),),) for word in scheme.betas]
-    zero = (ZERO,)
+    pad, zero = cycle(ZERO, None), segment(ZERO)
 
-    def walk(i, profile, segs, cycs, origins, group):
-        if i == k:
-            pad = len(group) - 1
-            simple = Slps(segs + (group or (zero,)), cycs + (zero,) * pad)
-            yield SlpsMember(simple, profile, origins + (None,) * pad)
-            return
-        beta, alpha = betas[i], alphas[i + 1]
-        yield from walk(i + 1, profile + (0,), segs, cycs, origins, group + alpha)
-        yield from walk(i + 1, profile + (1,), segs, cycs, origins, group + beta + alpha)
-        pad = len(group) + len(beta) - 1
-        yield from walk(i + 1, profile + (2,), segs + group + beta, cycs + (zero,) * pad + effects[i],
-                        origins + (None,) * pad + (i,), beta + alpha)
+    def then(first, second):
+        """Two written groups as one (None: an empty group)."""
+        if first is None:
+            return second
+        return first if second is None else first + pad + second
 
-    return walk(0, (), (), (), (), alphas[0])
+    def written(word):
+        return reduce(then, map(segment, word), None)
+
+    alphas = [written(word) for word in scheme.alphas]
+    betas = [written(word) for word in scheme.betas]
+    effects = [cycle(effect(word), i) for i, word in enumerate(scheme.betas)]
+    omitted, unrolled, normalized = usages
+
+    def walk():
+        # the pending prefixes as (cycles decided, profile, closed part, open
+        # group), pushed in reverse so that the profiles come out in order;
+        # x[:0] is the empty form of x's kind, "" or ()
+        stack = [(0, omitted[:0], zero[:0], alphas[0])]
+        while stack:
+            i, profile, closed, group = stack.pop()
+            if i == k:
+                yield profile, closed + (zero if group is None else group)
+                continue
+            beta, alpha = betas[i], alphas[i + 1]
+            stack += (
+                (i + 1, profile + normalized, closed + then(group, beta) + effects[i], then(beta, alpha)),
+                (i + 1, profile + unrolled, closed, then(then(group, beta), alpha)),
+                (i + 1, profile + omitted, closed, then(group, alpha)),
+            )
+
+    return walk()
+
+
+def split_lps(scheme: Lps) -> Iterator[SlpsMember]:
+    """``split_walk``'s members as ``SlpsMember``s, which share the input's
+    letters; raises BudgetExceededError as it does, when called."""
+    members = split_walk(
+        scheme, ((0,), (1,), (2,)), lambda v: (((v,), None),), lambda v, origin: (((v,), origin),)
+    )
+    return (_member(profile, lines) for profile, lines in members)
+
+
+def _member(profile: tuple[int, ...], lines: tuple) -> SlpsMember:
+    """A member from its (word, origin) lines, segments and cycles in turn."""
+    words, origins = zip(*lines)
+    return SlpsMember(Slps(words[0::2], words[1::2]), profile, origins[1::2])
 
 
 def origin_turns(member: SlpsMember) -> tuple[tuple[int, Optional[int]], ...]:

@@ -3,7 +3,7 @@ import sys
 from itertools import product
 from random import Random
 
-from vasskit import Lps, PlaneVector, SlpsMember, ZERO, core, effect, slps_of
+from vasskit import Instance, Lps, PlaneVector, SlpsMember, ZERO, core, effect, slps_of
 
 GOLDENS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "goldens")
 
@@ -109,3 +109,36 @@ def random_lps(rng: Random, k: int) -> Lps:
     alphas = tuple(tuple(letter() for _ in range(rng.randint(0, 2))) for _ in range(k + 1))
     betas = tuple(tuple(letter() for _ in range(rng.randint(1, 2))) for _ in range(k))
     return Lps(alphas, betas)
+
+
+def serialize_instance(instance: Instance) -> str:
+    """An instance's canonical text, which ``parse_instance`` reads back to
+    the same instance; written line by line here, independently of vasskit."""
+    out: list[str] = [instance.kind]
+    if instance.kind == "vass":
+        v = instance.vass
+        out.append("states " + " ".join(v.states))
+        out.append("init " + " ".join(sorted(v.initial)))
+        out.append("final " + " ".join(sorted(v.accepting)))
+        for p, vec, q in v.edges:
+            out.append(f"edge {p} {q} {vec.x} {vec.y}")
+    else:
+        s = instance.scheme
+        if instance.kind == "slps":
+            out += [f"seg {a.x} {a.y}\ncyc {b.x} {b.y}" for (a,), (b,) in zip(s.alphas, s.betas)]
+            (a,) = s.alphas[-1]
+            out.append(f"seg {a.x} {a.y}")
+        else:
+            for alpha, beta in zip(s.alphas, s.betas):
+                out += [_scheme_line("seg", alpha), _scheme_line("cyc", beta)]
+            out.append(_scheme_line("seg", s.alphas[-1]))
+        if instance.exponents is not None:
+            out.append("path " + " ".join(str(n) for n in instance.exponents))
+    if instance.query is not None:
+        src, tgt = instance.query
+        out.append(f"query {src.x} {src.y} -> {tgt.x} {tgt.y}")
+    return "\n".join(out) + "\n"
+
+
+def _scheme_line(key: str, word) -> str:
+    return (key + " " + " ".join(f"{v.x},{v.y}" for v in word)).rstrip()

@@ -9,10 +9,8 @@ import time
 from pathlib import Path
 from random import Random
 
-from conftest import GOLDENS_DIR, golden_argv, random_lps, reference_split
-from vasskit import (
-    Instance, PlaneVector, ZERO, certificates, cli, fuzzing, schemes, serialize_instance, slps_of,
-)
+from conftest import GOLDENS_DIR, golden_argv, random_lps, reference_split, serialize_instance
+from vasskit import Instance, Lps, PlaneVector, ZERO, certificates, cli, effect, fuzzing, schemes, slps_of
 from vasskit.core import MAX_PATH_LENGTH
 
 LOOP_TEXT = "vass\nstates a\ninit a\nfinal a\nedge a a -1 1\nquery 2 0 -> 0 2\n"
@@ -213,19 +211,71 @@ def test_flatten(tmp_path, capsys):
     assert out.count("# member profile=") == 3
 
 
+def _seeded_general_scheme(rng: Random, k: int) -> Lps:
+    """A general scheme with K = k: segments of 0-3 letters, which may be
+    empty, and cycles of 1-3 letters, a quarter of them of zero effect;
+    letters in [-3, 3]^2."""
+
+    def letter():
+        return PlaneVector(rng.randint(-3, 3), rng.randint(-3, 3))
+
+    def cycle():
+        word = [letter() for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.25:  # close it with the negated rest when that is a letter
+            rest = effect(word[:-1])
+            word[-1] = -rest if rest.norm <= 3 else ZERO
+        return tuple(word)
+
+    alphas = tuple(tuple(letter() for _ in range(rng.randint(0, 3))) for _ in range(k + 1))
+    return Lps(alphas, tuple(cycle() for _ in range(k)))
+
+
 def test_flatten_writes_each_reference_member(tmp_path, capsys):
-    scheme = random_lps(Random(29), 5)
-    f = tmp_path / "five.vas"
-    f.write_text(serialize_instance(Instance(kind="lps", scheme=scheme)))
-    members = reference_split(scheme)
-    expected = [f"members: {len(members)}"]
-    for m in members:
-        expected += ["# member profile=" + ",".join(map(str, m.profile)), "slps"]
-        for (a,), (b,) in zip(m.scheme.alphas, m.scheme.betas):
-            expected += [f"seg {a.x} {a.y}", f"cyc {b.x} {b.y}"]
-        (a,) = m.scheme.alphas[-1]
-        expected.append(f"seg {a.x} {a.y}")
-    assert run_cli(["flatten", str(f)], capsys) == (0, "\n".join(expected) + "\n")
+    rng = Random(31)
+    schemes_ = [Lps(((),), ()), random_lps(Random(29), 5)]  # K = 0 with an empty segment first
+    schemes_ += [_seeded_general_scheme(rng, k) for k in [6] * 10 + list(range(6)) * 50]
+    shapes = {"zero-effect cycle": 0, "multi-letter cycle": 0, "empty segment": 0}
+    f = tmp_path / "general.vas"
+    for scheme in schemes_:
+        shapes["zero-effect cycle"] += any(effect(b).is_zero() for b in scheme.betas)
+        shapes["multi-letter cycle"] += any(len(b) > 1 for b in scheme.betas)
+        shapes["empty segment"] += any(not a for a in scheme.alphas)
+        f.write_text(serialize_instance(Instance(kind="lps", scheme=scheme)))
+        members = reference_split(scheme)
+        expected = f"members: {len(members)}\n" + "".join(
+            "# member profile=" + ",".join(map(str, m.profile)) + "\n"
+            + serialize_instance(Instance(kind="slps", scheme=m.scheme))
+            for m in members
+        )
+        assert run_cli(["flatten", str(f)], capsys) == (0, expected), scheme
+    assert len(schemes_) == 312 and min(shapes.values()) >= 100, shapes
+    f.write_text("lps\nseg\n")
+    assert run_cli(["flatten", str(f)], capsys) == (
+        0, "members: 1\n# member profile=\nslps\nseg 0 0\n"
+    )
+
+
+def test_flatten_into_a_closed_pipe_exits_141_quietly(tmp_path):
+    f = tmp_path / "eight.vas"
+    f.write_text("lps\n" + "seg 1,0\ncyc 0,1 1,-1\n" * 8 + "seg 0,0\n")
+    # the child imports the same sources as this test, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vasskit.cli", "flatten", str(f)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+    )
+    # 3^8 members are some MB, far more than a pipe holds, so the writer is cut off
+    assert proc.stdout.readline() == b"members: 6561\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == cli.EXIT_CLOSED_OUTPUT == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    missing = subprocess.run(
+        [sys.executable, "-m", "vasskit.cli", "flatten", str(tmp_path / "missing.vas")],
+        capture_output=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert missing.returncode == 2 and missing.stderr.startswith(b"error: [Errno 2]")
 
 
 def test_flatten_over_the_split_limit_exits_3(tmp_path, capsys):

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from conftest import serialize_instance
 from vasskit import (
     Configuration,
     Instance,
@@ -12,7 +13,6 @@ from vasskit import (
     PlaneVector,
     cli,
     parse_instance,
-    serialize_instance,
     slps_of,
 )
 

@@ -20,11 +20,10 @@ from vasskit import (
     shorten_close_away,
     shorten_far,
     shorten_one_visit,
-    serialize_instance,
     shortening_violation,
     slps_of,
 )
-from conftest import GOLDENS_DIR, golden_argv, refuse_words
+from conftest import GOLDENS_DIR, golden_argv, refuse_words, serialize_instance
 from vasskit import certificates, cli, core, shortening
 from vasskit.core import effect, instantiate, run
 

@@ -192,7 +192,7 @@ class Lps:
 
     @property
     def norm(self) -> int:
-        # one pass over the letters' coordinates; search_cap reads it per query
+        # one pass over the letters' coordinates; slps_reach reads its norm off its table instead
         return max((abs(c) for w in self.alphas + self.betas for v in w for c in (v.x, v.y)), default=0)
 
 

@@ -102,24 +102,26 @@ one, is within the budget, so no node keyed before the answer or the
 budget-out has a counter above R, and the goal's key, which R covers
 too, aliases no other node's.  Under a scheme cap of about 10^15 a key
 thus stays below about (budget*norm)^2 * 2^b, one or two 30-bit digits
-of a Python int, where cap^2 took four.  Each state's successor list,
-built once per call from its ``out`` list, stores per edge the key delta
+of a Python int, where cap^2 took four.  The set-up reads the table
+twice: once for the alphabet's norm and maxdeg, the largest out-degree,
+together (``table_norm_and_degree``, which ``slps_reach`` also calls for
+its cap), then, with W, b and (cap+1)*W fixed, for the successor lists.
+Each state's successor list stores per edge the key delta
 ``((dx*W + dy) << b) + j - i``, the keys whose x lets the letter fire
 (as 0 <= y < W, the bounds 0 <= x + dx <= cap read
 ``(-dx*W) << b <= key < ((cap+1-dx)*W) << b``), the range [-dy, cap-dy]
 its y must lie in, and the edge's position in that list.  A node reads
 its y, ``(key >> b) % W``, once; a letter that keeps y has the range
 [0, cap], which every y meets.  ``parents`` maps each discovered key to
-``parent_key*maxdeg + position`` (None for a start node), where maxdeg
-is the largest out-degree; ``_rebuild`` decodes the trace from these
-codes.  ``parents`` is a dict, so memory follows the reachable region;
-only grids of at most ``GRID_BITS`` bits per state are ever sized by the
-cap.  The exploration order is fixed: initial states in their given
-order, edges in table order, the first parent found wins.  A node's
-search-tree path is therefore the least of its shortest paths in the
-order (initial state, edge position, edge position, ...), and both
-forms return the one to the first goal in that order, with the same
-state trace.
+``parent_key*maxdeg + position`` (None for a start node); ``_rebuild``
+decodes the trace from these codes.  ``parents`` is a dict, so memory
+follows the reachable region; only grids of at most ``GRID_BITS`` bits
+per state are ever sized by the cap.  The exploration order is fixed:
+initial states in their given order, edges in table order, the first
+parent found wins.  A node's search-tree path is therefore the least
+of its shortest paths in the order (initial state, edge position, edge
+position, ...), and both forms return the one to the first goal in that
+order, with the same state trace.
 
 ``brute_force_oracle`` is a separate, deliberately naive search that
 shares no code with the kernel, so that it can cross-check it.  It lives
@@ -564,12 +566,26 @@ def _sparse_bfs(vass, source, target, cap, length_bound, budget):
     )
 
 
+def table_norm_and_degree(out):
+    """A table's alphabet norm and largest out-degree, in one pass."""
+    norm = maxdeg = 0
+    for edges in out:
+        if len(edges) > maxdeg:
+            maxdeg = len(edges)
+        for dx, dy, _ in edges:
+            if not -norm <= dx <= norm:
+                norm = abs(dx)
+            if not -norm <= dy <= norm:
+                norm = abs(dy)
+    return norm, maxdeg
+
+
 def search_table(out, initial, accepting, source, target, cap, length_bound, budget):
     """The search node by node on a table, with a parent code per
     discovered node: ``explored``, and the trace (states, positions) of the
     search path to the first goal reached, or None."""
     n = len(out)
-    norm = max((max(abs(dx), abs(dy)) for edges in out for dx, dy, _ in edges), default=0)
+    norm, maxdeg = table_norm_and_degree(out)
     # Level d is expanded only below the length bound and while explored,
     # at least d+1 as every level holds a node, is within the budget; so a
     # node keyed before the answer or the budget-out is at most
@@ -577,28 +593,28 @@ def search_table(out, initial, accepting, source, target, cap, length_bound, bud
     # counter by at most the alphabet's norm, and both its counters are
     # below width.  target.norm keeps the goal's key from aliasing another.
     steps = max(0, budget if length_bound is None else min(budget, length_bound))
-    width = min(cap, max(source.norm, target.norm) + (steps + 1) * norm) + 1
+    width = min(cap, max(source.x, source.y, target.x, target.y) + (steps + 1) * norm) + 1
     shift = (n - 1).bit_length()
     low = (1 << shift) - 1
+    # x steps a key by unit, and the keys below top are those with x <= cap
+    unit = width << shift
+    top = (cap + 1) * unit
     # per edge: the key delta, the keys whose x lets the letter fire (as
     # 0 <= y < width, a plain range), the y range it needs, and its position
-    succ = [
-        [
-            (
-                ((dx * width + dy) << shift) + j - i,
-                (-dx * width) << shift, ((cap + 1 - dx) * width) << shift,
-                -dy, cap - dy, pos,
-            )
-            for pos, (dx, dy, j) in enumerate(edges)
-        ]
-        for i, edges in enumerate(out)
-    ]
-    maxdeg = max(map(len, out), default=0)
-    goals = {((target.x * width + target.y) << shift) | j for j in accepting}
+    succ = []
+    for i, edges in enumerate(out):
+        row = []
+        for pos, (dx, dy, j) in enumerate(edges):
+            lo = -dx * unit
+            row.append(((dy << shift) + j - i - lo, lo, top + lo, -dy, cap - dy, pos))
+        succ.append(row)
+    start = (source.x * width + source.y) << shift
+    goal = (target.x * width + target.y) << shift
+    goals = {goal | j for j in accepting}
     parents: dict[int, Optional[int]] = {}
     frontier: list[int] = []
     for i in initial:
-        key = ((source.x * width + source.y) << shift) | i
+        key = start | i
         if key not in parents:
             parents[key] = None
             frontier.append(key)

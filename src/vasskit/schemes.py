@@ -9,8 +9,8 @@ can be capped by an explicit bound on visited-point norms.  The decider
 has no search of its own and builds no automaton: it fills
 ``decide.search_table``'s integer table straight from the scheme's
 letters, segments as edges to the next state and cycles as self-loops,
-runs that search at the cap, and reads the cycle exponents off the
-witness's state trace.
+runs that search at the cap ``query_cap`` gives the table's norm, and
+reads the cycle exponents off the witness's state trace.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .core import (
     ZERO,
     effect,
 )
-from .decide import search_table
+from .decide import search_table, table_norm_and_degree
 from .errors import BudgetExceededError, InternalDefectError
 
 
@@ -114,16 +114,10 @@ def split_walk(scheme: Lps, usages: tuple, segment: Callable, cycle: Callable) -
 def split_lps(scheme: Lps) -> Iterator[SlpsMember]:
     """``split_walk``'s members as ``SlpsMember``s, which share the input's
     letters; raises BudgetExceededError as it does, when called."""
-    members = split_walk(
-        scheme, ((0,), (1,), (2,)), lambda v: (((v,), None),), lambda v, origin: (((v,), origin),)
-    )
-    return (_member(profile, lines) for profile, lines in members)
-
-
-def _member(profile: tuple[int, ...], lines: tuple) -> SlpsMember:
-    """A member from its (word, origin) lines, segments and cycles in turn."""
-    words, origins = zip(*lines)
-    return SlpsMember(Slps(words[0::2], words[1::2]), profile, origins[1::2])
+    # a member's flat form: segment word, cycle word, cycle origin, and so
+    # on, ending with a segment word
+    members = split_walk(scheme, ((0,), (1,), (2,)), lambda v: ((v,),), lambda v, origin: ((v,), origin))
+    return (SlpsMember(Slps(flat[0::3], flat[1::3]), profile, flat[2::3]) for profile, flat in members)
 
 
 def origin_turns(member: SlpsMember) -> tuple[tuple[int, Optional[int]], ...]:
@@ -153,11 +147,20 @@ def norm_bound(scheme: Slps) -> int:
 DEFAULT_SEARCH_BUDGET = 5_000_000
 
 
+def query_cap(cycles: int, norm: int, source: Configuration, target: Configuration) -> int:
+    """The explicit norm cap of a query on a simple scheme of ``cycles``
+    cycles and letter norm ``norm``: if an admissible source -> target
+    path exists, one exists whose visited norms all stay within it."""
+    return norm_bound_value(cycles + 2, max(norm, source.norm, target.norm))
+
+
 def search_cap(scheme: Slps, source: Configuration, target: Configuration) -> int:
-    """The explicit norm cap of a simple-scheme query: if an admissible
-    source -> target path exists, one exists whose visited norms all stay
-    within it."""
-    return norm_bound_value(scheme.K + 2, max(scheme.norm, source.norm, target.norm))
+    """``query_cap`` of a query on ``scheme``."""
+    return query_cap(scheme.K, scheme.norm, source, target)
+
+
+# the answer of every negative query; WitnessResult is frozen, so it is shared
+_UNREACHABLE = WitnessResult(reachable=False)
 
 
 def slps_reach(
@@ -165,8 +168,8 @@ def slps_reach(
 ) -> WitnessResult:
     """Complete reachability decision for a simple scheme.
 
-    Runs ``decide.search_table`` from source to target at ``search_cap``
-    on the scheme's chain of states 0..K+1: a_0 is the edge 0 -> 1, and
+    Runs ``decide.search_table`` from source to target at the query's cap,
+    ``search_cap``'s, on the scheme's chain of states 0..K+1: a_0 is the edge 0 -> 1, and
     state i+1 lists its self-loop b_i before its exit a_(i+1) to state
     i+2, the order that fixes which of several equally short witnesses
     the search returns.  So a negative answer is unconditional and a
@@ -182,10 +185,12 @@ def slps_reach(
     for i, ((b,), (a,)) in enumerate(zip(scheme.betas, scheme.alphas[1:]), 1):
         out.append([(b.x, b.y, i), (a.x, a.y, i + 1)])
     out.append([])
-    cap = search_cap(scheme, source, target)
+    # the table holds each letter of the scheme once, so its norm is the scheme's
+    norm, _ = table_norm_and_degree(out)
+    cap = query_cap(scheme.K, norm, source, target)
     _, trace = search_table(out, [0], [scheme.K + 1], source, target, cap, None, budget)
     if trace is None:
-        return WitnessResult(reachable=False)
+        return _UNREACHABLE
     states = trace[0]
     exponents = tuple(states.count(i + 1) - 1 for i in range(scheme.K))
     # the coordinates of the corners: the source, then where a_0 and each

@@ -152,11 +152,12 @@ def test_verify_scheme_negative_does_not_trust_slps_reach(tmp_path, monkeypatch)
 
 
 def test_verify_scheme_negative_does_not_trust_search_cap(tmp_path, monkeypatch, capsys):
-    def endpoint_cap(scheme, source, target):
+    # slps_reach and search_cap both read the cap formula through query_cap
+    def endpoint_cap(cycles, norm, source, target):
         return max(source.norm, target.norm)
 
-    monkeypatch.setattr(schemes, "search_cap", endpoint_cap)
-    monkeypatch.setattr(certificates, "search_cap", endpoint_cap, raising=False)
+    monkeypatch.setattr(schemes, "query_cap", endpoint_cap)
+    monkeypatch.setattr(certificates, "query_cap", endpoint_cap, raising=False)
     (tmp_path / "down.vas").write_text("slps\nseg 5 0\ncyc -1 0\nseg 0 0\nquery 0 0 -> 0 0\n")
     cert = tmp_path / "down.cert"
     assert cli.main(["slps-decide", str(tmp_path / "down.vas"), "--cert", str(cert)]) == 1

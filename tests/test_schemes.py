@@ -293,3 +293,59 @@ def test_slps_reach_matches_oracle_on_path_automaton():
                 reachable += 1
                 assert k + 1 + sum(result.exponents) == oracle.length
     assert compared >= 600 and reachable >= 200
+
+
+def test_slps_reach_table_search_keeps_the_oracle_level_contract(monkeypatch):
+    # The kernel test above takes decide_capped_bfs as its reference, which
+    # at these caps runs the same search_table set-up, so a set-up fault
+    # could pass on both sides.  Here the reference is the oracle, which
+    # shares no code with the kernel, on the verifier's path automaton at
+    # search_cap: slps_reach's table search must expand as many nodes as
+    # the oracle on every finished query, and both must run out of budget
+    # one node short of that and finish at it.  A drifting cycle (both
+    # coordinates of its effect at least 0) never runs out of room, so
+    # many of those queries end in a budget-out, which both must reach.
+    counts = []
+    search = schemes.search_table
+
+    def counted(*args):
+        explored, trace = search(*args)
+        counts.append(explored)
+        return explored, trace
+
+    monkeypatch.setattr(schemes, "search_table", counted)
+    rng = Random(30)
+    finished = budget_outs = drifting = 0
+    for _ in range(1_000):
+        k = rng.randint(0, 3)
+        norm = rng.randint(0, 2)
+        letter = lambda: V(rng.randint(-norm, norm), rng.randint(-norm, norm))
+        scheme = slps_of([letter() for _ in range(k + 1)], [letter() for _ in range(k)])
+        drifting += any(b.x >= 0 and b.y >= 0 and not b.is_zero() for (b,) in scheme.betas)
+        s = Configuration(rng.randint(0, 4), rng.randint(0, 4))
+        t = Configuration(rng.randint(0, 4), rng.randint(0, 4))
+        trace = run(instantiate(scheme, [rng.randint(0, 3) for _ in range(k)]), s)
+        if rng.random() < 0.5 and trace.admissible:
+            t = Configuration(trace.target.x, trace.target.y)  # reachable by construction
+        automaton = certificates._path_vass(scheme)
+        cap = search_cap(scheme, s, t)
+        decided = lambda budget: slps_reach(scheme, s, t, budget=budget)
+        oracle = lambda budget: brute_force_oracle(automaton, s, t, cap, budget=budget)
+        try:
+            result = decided(300)
+        except BudgetExceededError:
+            with pytest.raises(BudgetExceededError):
+                oracle(300)
+            budget_outs += 1
+            continue
+        explored = counts[-1]
+        verdict = oracle(300)
+        assert verdict.explored == explored
+        assert result.reachable == (verdict.kind == REACHABLE)
+        if explored:
+            for decision in (decided, oracle):
+                with pytest.raises(BudgetExceededError):
+                    decision(explored - 1)
+            assert decided(explored) == result and oracle(explored) == verdict
+        finished += 1
+    assert finished >= 800 and budget_outs >= 80 and drifting >= 200

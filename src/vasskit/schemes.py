@@ -168,8 +168,8 @@ def slps_reach(
 ) -> WitnessResult:
     """Complete reachability decision for a simple scheme.
 
-    Runs ``decide.search_table`` from source to target at the query's cap,
-    ``search_cap``'s, on the scheme's chain of states 0..K+1: a_0 is the edge 0 -> 1, and
+    Runs ``decide.search_table`` from source to target at ``search_cap``'s
+    cap on the scheme's chain of states 0..K+1: a_0 is the edge 0 -> 1, and
     state i+1 lists its self-loop b_i before its exit a_(i+1) to state
     i+2, the order that fixes which of several equally short witnesses
     the search returns.  So a negative answer is unconditional and a
